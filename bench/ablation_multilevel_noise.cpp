@@ -55,11 +55,11 @@ int main(int argc, char** argv) {
         for (int i = 0; i < trials_per_rep; ++i) {
           const auto level = static_cast<std::size_t>(
               rng.uniform_int(0, static_cast<long long>(l) - 1));
-          dev::OpcmDevice device(params);
-          device.program(level, rng);
-          // Noisy transmission readout, then nearest-level decode.
-          const double read =
-              noise.apply(device.nominal_transmission(level), range, rng);
+          // Program (ideal params: no draw), then a noisy readout of the
+          // level's nominal transmission and a nearest-level decode.
+          static_cast<void>(dev::program_transmission(params, level, rng));
+          const double read = noise.apply(
+              dev::nominal_transmission(params, level), range, rng);
           const double frac = (read - params.t_crystalline) / range;
           const long long decoded =
               std::llround(frac * static_cast<double>(l - 1));

@@ -1,6 +1,6 @@
 // Time-dependent PCM conductance drift over programmed crossbars.
 //
-// EpcmDevice models single-device drift as G(t) = G0 * (t/t0)^-nu
+// dev::drift_factor models single-device drift as G(t) = G0 * (t/t0)^-nu
 // (Ielmini-style); DriftModel lifts that to a whole crossbar the way the
 // serving layer needs it: a *pure* per-cell multiplicative factor table
 // computed from (params, t_s, cell index, RngStream base). Cells do not

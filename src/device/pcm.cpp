@@ -17,38 +17,33 @@ EpcmParams EpcmParams::realistic() {
   return p;
 }
 
-EpcmDevice::EpcmDevice(const EpcmParams& p) : params_(p) {
-  EB_REQUIRE(params_.levels >= 2, "device needs at least two levels");
-  EB_REQUIRE(params_.g_on_us > params_.g_off_us,
-             "ON conductance must exceed OFF");
-  programmed_g_us_ = params_.g_off_us;
+void validate(const EpcmParams& p) {
+  EB_REQUIRE(p.levels >= 2, "device needs at least two levels");
+  EB_REQUIRE(p.g_on_us > p.g_off_us, "ON conductance must exceed OFF");
 }
 
-double EpcmDevice::nominal_conductance(std::size_t level) const {
-  EB_REQUIRE(level < params_.levels, "level out of range");
-  const double frac = static_cast<double>(level) /
-                      static_cast<double>(params_.levels - 1);
-  return params_.g_off_us + frac * (params_.g_on_us - params_.g_off_us);
+double nominal_conductance(const EpcmParams& p, std::size_t level) {
+  EB_REQUIRE(level < p.levels, "level out of range");
+  const double frac =
+      static_cast<double>(level) / static_cast<double>(p.levels - 1);
+  return p.g_off_us + frac * (p.g_on_us - p.g_off_us);
 }
 
-void EpcmDevice::program(std::size_t level, RngStream& rng) {
-  const double nominal = nominal_conductance(level);
-  level_ = level;
-  if (params_.sigma_program > 0.0) {
-    programmed_g_us_ = nominal * rng.lognormal(0.0, params_.sigma_program);
-  } else {
-    programmed_g_us_ = nominal;
+double program_conductance(const EpcmParams& p, std::size_t level,
+                           RngStream& rng) {
+  const double nominal = nominal_conductance(p, level);
+  if (p.sigma_program > 0.0) {
+    return nominal * rng.lognormal(0.0, p.sigma_program);
   }
+  return nominal;
 }
 
-double EpcmDevice::conductance(double t_s) const {
-  if (params_.drift_nu <= 0.0 || t_s <= 0.0) {
-    return programmed_g_us_;
+double drift_factor(const EpcmParams& p, double t_s) {
+  if (p.drift_nu <= 0.0 || t_s <= 0.0) {
+    return 1.0;
   }
   // Conductance drift: resistance grows as (t/t0)^nu, so G shrinks.
-  const double factor =
-      std::pow(std::max(t_s, 1e-9) / params_.t0_s, -params_.drift_nu);
-  return programmed_g_us_ * factor;
+  return std::pow(std::max(t_s, 1e-9) / p.t0_s, -p.drift_nu);
 }
 
 // ------------------------------------------------------------------------
@@ -61,34 +56,32 @@ OpcmParams OpcmParams::realistic() {
   return p;
 }
 
-OpcmDevice::OpcmDevice(const OpcmParams& p) : params_(p) {
-  EB_REQUIRE(params_.levels >= 2, "device needs at least two levels");
-  EB_REQUIRE(params_.t_amorphous > params_.t_crystalline,
+void validate(const OpcmParams& p) {
+  EB_REQUIRE(p.levels >= 2, "device needs at least two levels");
+  EB_REQUIRE(p.t_amorphous > p.t_crystalline,
              "amorphous transmission must exceed crystalline");
-  EB_REQUIRE(params_.t_crystalline >= 0.0 && params_.t_amorphous <= 1.0,
+  EB_REQUIRE(p.t_crystalline >= 0.0 && p.t_amorphous <= 1.0,
              "transmission must lie in [0,1]");
-  programmed_t_ = params_.t_crystalline;
 }
 
-double OpcmDevice::nominal_transmission(std::size_t level) const {
-  EB_REQUIRE(level < params_.levels, "level out of range");
-  const double frac = static_cast<double>(level) /
-                      static_cast<double>(params_.levels - 1);
-  return params_.t_crystalline +
-         frac * (params_.t_amorphous - params_.t_crystalline);
+double nominal_transmission(const OpcmParams& p, std::size_t level) {
+  EB_REQUIRE(level < p.levels, "level out of range");
+  const double frac =
+      static_cast<double>(level) / static_cast<double>(p.levels - 1);
+  return p.t_crystalline + frac * (p.t_amorphous - p.t_crystalline);
 }
 
-void OpcmDevice::program(std::size_t level, RngStream& rng) {
-  double t = nominal_transmission(level);
-  level_ = level;
-  if (params_.sigma_program > 0.0) {
-    t += rng.gaussian(0.0, params_.sigma_program);
+double program_transmission(const OpcmParams& p, std::size_t level,
+                            RngStream& rng) {
+  double t = nominal_transmission(p, level);
+  if (p.sigma_program > 0.0) {
+    t += rng.gaussian(0.0, p.sigma_program);
   }
-  programmed_t_ = std::clamp(t, 0.0, 1.0);
+  return std::clamp(t, 0.0, 1.0);
 }
 
-double OpcmDevice::transmission() const {
-  return programmed_t_ * db_to_linear(-params_.insertion_loss_db);
+double insertion_loss_factor(const OpcmParams& p) {
+  return db_to_linear(-p.insertion_loss_db);
 }
 
 }  // namespace eb::dev

@@ -2,21 +2,22 @@
 //
 // Two families, matching paper section II-C:
 //
-//  * EpcmDevice -- electronic PCM: the stored state maps to a conductance
-//    (read as current under a read voltage). Models programming levels,
+//  * ePCM -- electronic PCM: the stored state maps to a conductance (read
+//    as current under a read voltage). Models programming levels,
 //    log-normal programming variability, and resistance drift
 //    G(t) = G0 * (t/t0)^-nu (Ielmini-style), both of which the paper cites
 //    as ePCM design burdens that oPCM avoids.
 //
-//  * OpcmDevice -- optical PCM cell on a waveguide: the stored state maps
-//    to an optical transmission factor in [0,1] (amorphous = transparent,
+//  * oPCM -- optical PCM cell on a waveguide: the stored state maps to an
+//    optical transmission factor in [0,1] (amorphous = transparent,
 //    crystalline = absorbing). Supports multi-level operation for the
 //    robustness ablation (Cardoso DATE'23): more levels => smaller level
 //    separation => more noise-sensitive. The paper's designs use it in
 //    binary mode.
 //
-// Both expose the same level-programming interface so the crossbar array
-// is generic over the device family.
+// A device is its params struct plus one programmed value; the functions
+// below are the whole device model. Crossbars keep one params struct and
+// a flat table of programmed values, so no per-cell object exists.
 #pragma once
 
 #include <cstddef>
@@ -39,29 +40,6 @@ struct EpcmParams {
   [[nodiscard]] static EpcmParams realistic();
 };
 
-class EpcmDevice {
- public:
-  explicit EpcmDevice(const EpcmParams& p = EpcmParams::ideal());
-
-  // Program to a level in [0, levels-1]; level 0 = OFF, max = fully ON.
-  // Variability draws a fresh log-normal factor per programming event.
-  void program(std::size_t level, RngStream& rng);
-
-  // Nominal (noise-free) conductance for a level, in microsiemens.
-  [[nodiscard]] double nominal_conductance(std::size_t level) const;
-
-  // Conductance at `t_s` seconds after programming (applies drift).
-  [[nodiscard]] double conductance(double t_s = 0.0) const;
-
-  [[nodiscard]] std::size_t level() const { return level_; }
-  [[nodiscard]] const EpcmParams& params() const { return params_; }
-
- private:
-  EpcmParams params_;
-  std::size_t level_ = 0;
-  double programmed_g_us_ = 0.0;
-};
-
 struct OpcmParams {
   double t_amorphous = 0.95;   // transmission in the fully amorphous state
   double t_crystalline = 0.10; // transmission in the fully crystalline state
@@ -73,26 +51,38 @@ struct OpcmParams {
   [[nodiscard]] static OpcmParams realistic();
 };
 
-class OpcmDevice {
- public:
-  explicit OpcmDevice(const OpcmParams& p = OpcmParams::ideal());
+// Throws eb::Error unless the params describe a usable device (at least
+// two levels, ON above OFF, transmissions inside [0,1]).
+void validate(const EpcmParams& p);
+void validate(const OpcmParams& p);
 
-  // Program to a level; level 0 = crystalline (low T), max = amorphous.
-  void program(std::size_t level, RngStream& rng);
+// Nominal (noise-free) conductance for a level in [0, levels-1], in
+// microsiemens; level 0 = OFF, max = fully ON.
+[[nodiscard]] double nominal_conductance(const EpcmParams& p,
+                                         std::size_t level);
 
-  // Nominal transmission for a level (before insertion loss).
-  [[nodiscard]] double nominal_transmission(std::size_t level) const;
+// Nominal transmission for a level (before insertion loss); level 0 =
+// crystalline (low T), max = amorphous.
+[[nodiscard]] double nominal_transmission(const OpcmParams& p,
+                                          std::size_t level);
 
-  // Effective transmission including insertion loss.
-  [[nodiscard]] double transmission() const;
+// One programming event: the level's nominal conductance times a fresh
+// log-normal factor drawn from `rng` (no draw when sigma_program = 0).
+[[nodiscard]] double program_conductance(const EpcmParams& p,
+                                         std::size_t level, RngStream& rng);
 
-  [[nodiscard]] std::size_t level() const { return level_; }
-  [[nodiscard]] const OpcmParams& params() const { return params_; }
+// One programming event: the level's nominal transmission plus a Gaussian
+// offset drawn from `rng` (no draw when sigma_program = 0), clamped to
+// [0,1]. Insertion loss is not applied.
+[[nodiscard]] double program_transmission(const OpcmParams& p,
+                                          std::size_t level, RngStream& rng);
 
- private:
-  OpcmParams params_;
-  std::size_t level_ = 0;
-  double programmed_t_ = 0.0;
-};
+// Linear transmission factor of the fixed waveguide insertion loss.
+[[nodiscard]] double insertion_loss_factor(const OpcmParams& p);
+
+// Device conductance drift at `t_s` seconds after programming: the
+// factor (t/t0)^-nu every programmed conductance is multiplied by.
+// Exactly 1 with drift disabled (drift_nu <= 0) or at t_s <= 0.
+[[nodiscard]] double drift_factor(const EpcmParams& p, double t_s);
 
 }  // namespace eb::dev

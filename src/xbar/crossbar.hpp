@@ -1,14 +1,21 @@
 // Functional crossbar array models.
 //
 //  * ElectricalCrossbar -- 1T1R memristive array (ePCM/ReRAM class).
-//    Cells hold EpcmDevice conductances; an analog VMM accumulates
+//    Cells hold ePCM conductances; an analog VMM accumulates
 //    I_col = sum_rows V_row * G(row,col) per Kirchhoff/Ohm (paper Fig. 1).
 //
-//  * OpticalCrossbar -- oPCM array on a photonic mesh. Cells hold
-//    OpcmDevice transmissions; each wavelength channel propagates
-//    independently, so K wavelength inputs produce K independent column
-//    sums in one pass -- the physical basis of the paper's WDM MMM
-//    (Fig. 5-(b)).
+//  * OpticalCrossbar -- oPCM array on a photonic mesh. Cells hold oPCM
+//    transmissions; each wavelength channel propagates independently, so
+//    K wavelength inputs produce K independent column sums in one pass --
+//    the physical basis of the paper's WDM MMM (Fig. 5-(b)).
+//
+// Every crossbar is one device-params struct plus one flat row-major
+// table holding, per cell, the value a read multiplies by (programmed
+// conductance, or programmed transmission x insertion loss). Reads keep
+// a fixed operand grouping -- (v * (g * k)) * f electrically, (p * t) * f
+// optically, k the device drift power law, f the imposed drift factor --
+// and sum each column in ascending row order, so noisy outputs are
+// reproducible to the bit.
 //
 // These are *functional* models: they compute values (with optional device
 // variability and read noise). Latency/energy live in arch::TechParams and
@@ -34,6 +41,26 @@ struct CrossbarDims {
   std::size_t cols = 0;
 
   [[nodiscard]] std::size_t cells() const { return rows * cols; }
+  // Row-major flat index of (r, c); throws eb::Error when out of range.
+  [[nodiscard]] std::size_t index(std::size_t r, std::size_t c) const;
+};
+
+// Serving-time drift imposed on a crossbar: one multiplicative factor per
+// cell (null = pristine). set() swaps the table under a mutex, so a
+// concurrent read sees the old table or the new one, never a mix.
+class DriftTable {
+ public:
+  // Installs model.factors(t_s, cells, base); an inactive model (or
+  // t_s <= 0) clears the table.
+  void set(const dev::DriftModel& model, double t_s, std::size_t cells,
+           const RngStream& base);
+  void clear();
+  // The current table, held alive for the duration of one read.
+  [[nodiscard]] std::shared_ptr<const std::vector<double>> get() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::shared_ptr<const std::vector<double>> table_;
 };
 
 class ElectricalCrossbar {
@@ -48,8 +75,6 @@ class ElectricalCrossbar {
 
   // Program a whole column from a bit vector (bit -> ON level).
   void program_column(std::size_t col, const BitVec& bits);
-
-  [[nodiscard]] std::size_t level_at(std::size_t row, std::size_t col) const;
 
   // Analog VMM: `v_rows` volts on each row; returns per-column currents in
   // microamps (uS * V). `t_s` = seconds since programming (drift).
@@ -81,18 +106,11 @@ class ElectricalCrossbar {
   void clear_drift();
 
  private:
-  [[nodiscard]] const dev::EpcmDevice& cell(std::size_t r,
-                                            std::size_t c) const;
-  [[nodiscard]] dev::EpcmDevice& cell(std::size_t r, std::size_t c);
-  [[nodiscard]] std::shared_ptr<const std::vector<double>> drift_table()
-      const;
-
   CrossbarDims dims_;
-  std::vector<dev::EpcmDevice> cells_;
-  RngStream rng_;  // programming-variability draws
-
-  mutable std::mutex drift_mu_;  // guards the drift_ pointer swap
-  std::shared_ptr<const std::vector<double>> drift_;  // null = pristine
+  dev::EpcmParams params_;
+  std::vector<double> g_us_;  // programmed conductance per cell, row-major
+  RngStream rng_;             // programming-variability draws
+  DriftTable drift_;
 };
 
 class OpticalCrossbar {
@@ -104,8 +122,6 @@ class OpticalCrossbar {
 
   void program(std::size_t row, std::size_t col, std::size_t level);
   void program_column(std::size_t col, const BitVec& bits);
-
-  [[nodiscard]] std::size_t level_at(std::size_t row, std::size_t col) const;
 
   // WDM matrix-matrix multiply: `wavelength_inputs[k]` is the binary row
   // drive for wavelength k (active row carries p_in_mw of optical power on
@@ -135,18 +151,13 @@ class OpticalCrossbar {
   void clear_drift();
 
  private:
-  [[nodiscard]] const dev::OpcmDevice& cell(std::size_t r,
-                                            std::size_t c) const;
-  [[nodiscard]] dev::OpcmDevice& cell(std::size_t r, std::size_t c);
-  [[nodiscard]] std::shared_ptr<const std::vector<double>> drift_table()
-      const;
-
   CrossbarDims dims_;
-  std::vector<dev::OpcmDevice> cells_;
+  dev::OpcmParams params_;
+  double loss_;  // insertion-loss factor, computed once per crossbar
+  // Effective transmission per cell (programmed x loss_), row-major.
+  std::vector<double> t_eff_;
   RngStream rng_;
-
-  mutable std::mutex drift_mu_;
-  std::shared_ptr<const std::vector<double>> drift_;  // null = pristine
+  DriftTable drift_;
 };
 
 // A 2T2R differential array as used by CustBinaryMap (paper Fig. 2-(a)).
@@ -183,16 +194,12 @@ class DifferentialCrossbar {
   void clear_drift();
 
  private:
-  [[nodiscard]] std::shared_ptr<const std::vector<double>> drift_table()
-      const;
-
   std::size_t rows_;
   std::size_t pairs_;
-  std::vector<dev::EpcmDevice> devices_;  // [row][pair][branch]
+  dev::EpcmParams params_;
+  std::vector<double> g_us_;  // programmed conductance, [row][pair][branch]
   RngStream rng_;
-
-  mutable std::mutex drift_mu_;
-  std::shared_ptr<const std::vector<double>> drift_;  // null = pristine
+  DriftTable drift_;
 };
 
 }  // namespace eb::xbar

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -23,7 +24,9 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "device/drift.hpp"
 #include "device/noise.hpp"
+#include "device/pcm.hpp"
 #include "eval/experiments.hpp"
 #include "mapping/custbinarymap.hpp"
 #include "mapping/executor.hpp"
@@ -31,6 +34,7 @@
 #include "mapping/tacitmap.hpp"
 #include "mapping/task.hpp"
 #include "mapping/validator.hpp"
+#include "xbar/crossbar.hpp"
 
 namespace eb {
 namespace {
@@ -416,6 +420,108 @@ TEST(GoldenNoisyStreams, AllBackendsExactAtFixedSeed) {
   }
   // A new backend must be pinned here the moment it joins the factory.
   EXPECT_EQ(map::mapped_backend_names(), names);
+}
+
+// Order-sensitive digest (FNV-1a over 64-bit words) of a read's exact
+// bits, so one constant pins every column of a wide read.
+std::uint64_t bits_digest(const std::vector<double>& v) {
+  std::uint64_t h = 0xcbf29ce484222325u;
+  for (const double x : v) {
+    h = (h ^ std::bit_cast<std::uint64_t>(x)) * 0x100000001b3u;
+  }
+  return h;
+}
+
+// The pin above uses ideal devices (sigma_program = 0), so it cannot see
+// a change in programming-draw order or in drifted-read rounding. This one
+// programs every backend with realistic devices and reads it pristine and
+// under imposed drift; the raw crossbar reads pin the analog doubles
+// (device drift power law, drift factor table) before any ADC rounding.
+TEST(GoldenNoisyStreams, RealisticDevicesExactAtFixedSeed) {
+  Rng build_rng(20);
+  const auto task = map::XnorPopcountTask::random(64, 12, 1, build_rng);
+  const dev::GaussianReadNoise noise(0.05);
+  const dev::DriftModel drift(dev::DriftParams::realistic());
+  const RngStream drift_base(0xD41F7);
+  const double t_s = 3600.0;
+
+  map::TacitElectricalConfig ecfg;
+  ecfg.dims = {32, 32};
+  ecfg.device = dev::EpcmParams::realistic();
+  map::TacitOpticalConfig ocfg;
+  ocfg.dims = {32, 32};
+  ocfg.wdm_capacity = 4;
+  ocfg.device = dev::OpcmParams::realistic();
+  map::CustBinaryConfig ccfg;
+  ccfg.rows = 32;
+  ccfg.pairs = 16;
+  ccfg.device = dev::EpcmParams::realistic();
+  const map::TacitMapElectrical electrical(task.weights, ecfg);
+  const map::TacitMapOptical optical(task.weights, ocfg);
+  const map::CustBinaryMap cust(task.weights, ccfg);
+
+  struct Golden {
+    const map::MappedExecutor* exec;
+    std::vector<std::size_t> pristine;
+    std::vector<std::size_t> drifted;
+  };
+  const std::vector<Golden> want = {
+      {&electrical,
+       {14, 28, 40, 26, 6, 36, 31, 30, 33, 40, 28, 30},
+       {8, 22, 32, 18, 3, 25, 22, 24, 25, 29, 18, 21}},
+      {&optical,
+       {36, 42, 33, 26, 34, 34, 32, 40, 37, 34, 34, 38},
+       {21, 27, 19, 12, 19, 20, 18, 25, 23, 21, 21, 23}},
+      {&cust,
+       {36, 38, 32, 28, 33, 35, 32, 36, 35, 34, 31, 34},
+       {36, 38, 32, 27, 32, 35, 32, 36, 35, 34, 31, 34}},
+  };
+  for (const Golden& g : want) {
+    Rng rng(321);
+    EXPECT_EQ(g.exec->execute(task.inputs[0], noise, rng, nullptr),
+              g.pristine)
+        << g.exec->descriptor();
+    g.exec->set_drift(drift, t_s, drift_base);
+    Rng drifted_rng(321);
+    EXPECT_EQ(g.exec->execute(task.inputs[0], noise, drifted_rng, nullptr),
+              g.drifted)
+        << g.exec->descriptor();
+    g.exec->clear_drift();
+  }
+
+  // Raw reads: 16 x 64 cells, nine rows driven, no read noise. Neither
+  // drive level is a power of two, and 64 columns give a regrouped
+  // product many chances to round differently. Column 0 is pinned as a
+  // double, every column through its bits.
+  const dev::NoNoise no_noise;
+  BitVec active(16);
+  for (const std::size_t r : {0, 2, 3, 5, 6, 9, 10, 12, 15}) {
+    active.set(r, true);
+  }
+  xbar::ElectricalCrossbar exb({16, 64}, dev::EpcmParams::realistic(), 29);
+  xbar::OpticalCrossbar oxb({16, 64}, dev::OpcmParams::realistic(), 31);
+  for (std::size_t r = 0; r < 16; ++r) {
+    for (std::size_t c = 0; c < 64; ++c) {
+      exb.program(r, c, (r + c) % 3 != 0 ? 1 : 0);
+      oxb.program(r, c, (r + 2 * c) % 3 != 0 ? 1 : 0);
+    }
+  }
+  Rng rng(5);
+  const auto aged = exb.vmm_currents_bits(active, 0.2, no_noise, rng, t_s);
+  const auto fresh_optical = oxb.vmm_powers(active, 0.37, no_noise, rng);
+  exb.set_drift(drift, t_s, drift_base);
+  oxb.set_drift(drift, t_s, drift_base);
+  const auto aged_drifted =
+      exb.vmm_currents_bits(active, 0.2, no_noise, rng, t_s);
+  const auto drifted_optical = oxb.vmm_powers(active, 0.37, no_noise, rng);
+  EXPECT_EQ(aged.front(), 7.993096520683812);
+  EXPECT_EQ(bits_digest(aged), 0x8db17476f660f626u);
+  EXPECT_EQ(aged_drifted.front(), 5.297509580381913);
+  EXPECT_EQ(bits_digest(aged_drifted), 0xa62bc486c69ccf40u);
+  EXPECT_EQ(fresh_optical.front(), 1.1316333496004702);
+  EXPECT_EQ(bits_digest(fresh_optical), 0x23a7734310082e60u);
+  EXPECT_EQ(drifted_optical.front(), 0.7533766701235185);
+  EXPECT_EQ(bits_digest(drifted_optical), 0x1ff0487262c2c38du);
 }
 
 // --------------------------------------------------- scheduler plumbing --

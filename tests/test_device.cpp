@@ -15,59 +15,54 @@ namespace {
 
 // ------------------------------------------------------------------ ePCM --
 
-TEST(EpcmDevice, BinaryLevelsMapToOnOff) {
+TEST(Epcm, BinaryLevelsMapToOnOff) {
   Rng rng(1);
-  EpcmDevice d(EpcmParams::ideal());
-  d.program(0, rng);
-  EXPECT_DOUBLE_EQ(d.conductance(), d.params().g_off_us);
-  d.program(1, rng);
-  EXPECT_DOUBLE_EQ(d.conductance(), d.params().g_on_us);
+  const EpcmParams p = EpcmParams::ideal();
+  EXPECT_DOUBLE_EQ(program_conductance(p, 0, rng), p.g_off_us);
+  EXPECT_DOUBLE_EQ(program_conductance(p, 1, rng), p.g_on_us);
 }
 
-TEST(EpcmDevice, MultiLevelSpacingIsUniform) {
+TEST(Epcm, MultiLevelSpacingIsUniform) {
   EpcmParams p = EpcmParams::ideal();
   p.levels = 5;
-  EpcmDevice d(p);
-  const double step = d.nominal_conductance(1) - d.nominal_conductance(0);
+  validate(p);
+  const double step = nominal_conductance(p, 1) - nominal_conductance(p, 0);
   for (std::size_t l = 1; l < 5; ++l) {
-    EXPECT_NEAR(d.nominal_conductance(l) - d.nominal_conductance(l - 1), step,
-                1e-12);
+    EXPECT_NEAR(nominal_conductance(p, l) - nominal_conductance(p, l - 1),
+                step, 1e-12);
   }
-  EXPECT_THROW(static_cast<void>(d.nominal_conductance(5)), Error);
+  EXPECT_THROW(static_cast<void>(nominal_conductance(p, 5)), Error);
 }
 
-TEST(EpcmDevice, ProgrammingVariabilityHasExpectedSpread) {
+TEST(Epcm, ProgrammingVariabilityHasExpectedSpread) {
   EpcmParams p = EpcmParams::ideal();
   p.sigma_program = 0.1;
   Rng rng(2);
   StatAccumulator acc;
   for (int i = 0; i < 5000; ++i) {
-    EpcmDevice d(p);
-    d.program(1, rng);
-    acc.add(std::log(d.conductance() / p.g_on_us));
+    acc.add(std::log(program_conductance(p, 1, rng) / p.g_on_us));
   }
   EXPECT_NEAR(acc.mean(), 0.0, 0.01);
   EXPECT_NEAR(acc.stddev(), 0.1, 0.01);
 }
 
-TEST(EpcmDevice, DriftReducesConductanceMonotonically) {
+TEST(Epcm, DriftReducesConductanceMonotonically) {
   EpcmParams p = EpcmParams::ideal();
   p.drift_nu = 0.05;
   Rng rng(3);
-  EpcmDevice d(p);
-  d.program(1, rng);
-  const double g0 = d.conductance(0.0);
-  const double g1 = d.conductance(10.0);
-  const double g2 = d.conductance(1000.0);
+  const double g = program_conductance(p, 1, rng);
+  const double g0 = g * drift_factor(p, 0.0);
+  const double g1 = g * drift_factor(p, 10.0);
+  const double g2 = g * drift_factor(p, 1000.0);
   EXPECT_GT(g0, g1);
   EXPECT_GT(g1, g2);
 }
 
-TEST(EpcmDevice, NoDriftWhenDisabled) {
+TEST(Epcm, NoDriftWhenDisabled) {
   Rng rng(4);
-  EpcmDevice d(EpcmParams::ideal());
-  d.program(1, rng);
-  EXPECT_DOUBLE_EQ(d.conductance(0.0), d.conductance(1e6));
+  const EpcmParams p = EpcmParams::ideal();
+  const double g = program_conductance(p, 1, rng);
+  EXPECT_DOUBLE_EQ(g * drift_factor(p, 0.0), g * drift_factor(p, 1e6));
 }
 
 // ------------------------------------------------------------ drift model --
@@ -139,51 +134,47 @@ TEST(DriftModel, FactorTablesAreDeterministicPerForkAndSpreadPerCell) {
 
 // ------------------------------------------------------------------ oPCM --
 
-TEST(OpcmDevice, BinaryLevelsMapToTransmissions) {
+TEST(Opcm, BinaryLevelsMapToTransmissions) {
   Rng rng(5);
-  OpcmDevice d(OpcmParams::ideal());
-  d.program(0, rng);
-  EXPECT_NEAR(d.transmission(),
-              d.params().t_crystalline *
-                  std::pow(10.0, -d.params().insertion_loss_db / 10.0),
+  const OpcmParams p = OpcmParams::ideal();
+  const double loss = insertion_loss_factor(p);
+  EXPECT_NEAR(program_transmission(p, 0, rng) * loss,
+              p.t_crystalline * std::pow(10.0, -p.insertion_loss_db / 10.0),
               1e-12);
-  d.program(1, rng);
-  EXPECT_NEAR(d.transmission(),
-              d.params().t_amorphous *
-                  std::pow(10.0, -d.params().insertion_loss_db / 10.0),
+  EXPECT_NEAR(program_transmission(p, 1, rng) * loss,
+              p.t_amorphous * std::pow(10.0, -p.insertion_loss_db / 10.0),
               1e-12);
 }
 
-TEST(OpcmDevice, MultiLevelSeparationShrinksWithLevels) {
+TEST(Opcm, MultiLevelSeparationShrinksWithLevels) {
   // The Cardoso DATE'23 motivation: more levels -> smaller separation.
   auto separation = [](std::size_t levels) {
     OpcmParams p = OpcmParams::ideal();
     p.levels = levels;
-    OpcmDevice d(p);
-    return d.nominal_transmission(1) - d.nominal_transmission(0);
+    validate(p);
+    return nominal_transmission(p, 1) - nominal_transmission(p, 0);
   };
   EXPECT_GT(separation(2), separation(4));
   EXPECT_GT(separation(4), separation(8));
   EXPECT_GT(separation(8), separation(16));
 }
 
-TEST(OpcmDevice, TransmissionStaysInUnitInterval) {
+TEST(Opcm, TransmissionStaysInUnitInterval) {
   OpcmParams p = OpcmParams::ideal();
   p.sigma_program = 0.5;  // absurdly noisy programming
   Rng rng(6);
   for (int i = 0; i < 200; ++i) {
-    OpcmDevice d(p);
-    d.program(1, rng);
-    EXPECT_GE(d.transmission(), 0.0);
-    EXPECT_LE(d.transmission(), 1.0);
+    const double t = program_transmission(p, 1, rng) * insertion_loss_factor(p);
+    EXPECT_GE(t, 0.0);
+    EXPECT_LE(t, 1.0);
   }
 }
 
-TEST(OpcmDevice, RejectsDegenerateParams) {
+TEST(Opcm, RejectsDegenerateParams) {
   OpcmParams p = OpcmParams::ideal();
   p.t_crystalline = 0.9;
   p.t_amorphous = 0.5;
-  EXPECT_THROW(OpcmDevice{p}, Error);
+  EXPECT_THROW(validate(p), Error);
 }
 
 // ----------------------------------------------------------------- noise --
