@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the simulation substrate itself:
-// the packed XNOR+Popcount kernel, functional crossbar VMMs, mapping
-// construction and execution. These gate the practicality of the
-// functional validation path (everything else in bench/ measures the
-// *modeled* hardware, not the simulator).
+// the packed XNOR+Popcount kernel, the real-valued panel GEMM,
+// functional crossbar VMMs, mapping construction and execution. These
+// gate the practicality of the functional validation path (everything
+// else in bench/ measures the *modeled* hardware, not the simulator).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "bnn/layers.hpp"
 #include "bnn/network.hpp"
 #include "bnn/packed.hpp"
+#include "bnn/real_gemm.hpp"
 #include "common/bitvec.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -360,6 +361,66 @@ void BM_OpticalWdmExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_OpticalWdmExecute)->Arg(1)->Arg(4)->Arg(16);
 
+// -- real-valued GEMM candidates -------------------------------------------
+//
+// One single-threaded real_gemm_bias call per iteration, for every
+// real-GEMM candidate the host supports (BM_RealGemm/<candidate>/<shape>),
+// on the precision-end GEMMs of the model zoo: MLP-L's fc1 at batch 1 and
+// 64, the conv1 im2col GEMMs of CNN-1, CNN-2 and VGG-D, and the sfc
+// model's fc4 at batch 8. Items are multiply-adds.
+
+struct RealGemmShape {
+  const char* name;
+  std::size_t m;
+  std::size_t n;
+  std::size_t k;
+};
+
+constexpr RealGemmShape kRealGemmShapes[] = {
+    {"mlp_l_fc1_m1", 1, 1500, 784}, {"mlp_l_fc1_m64", 64, 1500, 784},
+    {"cnn1_conv1", 36864, 5, 25},   {"cnn2_conv1", 30976, 10, 49},
+    {"vgg_d_conv1", 8192, 64, 27},  {"sfc_fc4", 8, 10, 256},
+};
+
+void run_real_gemm(benchmark::State& state,
+                   const eb::bnn::RealGemmKernel& kernel,
+                   const RealGemmShape& s) {
+  eb::RngStream rng(0x6e33);
+  const auto values = [&rng](std::size_t count) {
+    std::vector<double> v(count);
+    for (auto& e : v) {
+      e = rng.uniform(-1.0, 1.0);
+    }
+    return v;
+  };
+  const std::vector<double> x = values(s.m * s.k);
+  const std::vector<double> bias = values(s.n);
+  const eb::bnn::PanelMatrix w(s.n, s.k, values(s.n * s.k));
+  std::vector<double> out(s.m * s.n);
+  for (auto _ : state) {
+    eb::bnn::real_gemm_bias(kernel, s.m, x.data(), w, bias.data(),
+                            out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(s.m * s.n * s.k));
+}
+
+void register_real_gemm_benchmarks() {
+  for (const auto& kernel : eb::bnn::real_gemm_kernels()) {
+    if (!kernel.supported) {
+      continue;
+    }
+    for (const auto& shape : kRealGemmShapes) {
+      const std::string name =
+          std::string("BM_RealGemm/") + kernel.name + "/" + shape.name;
+      benchmark::RegisterBenchmark(name.c_str(), run_real_gemm, kernel,
+                                   shape);
+    }
+  }
+}
+
 // Explicit acceptance check: times both engines directly (min-of-5 runs)
 // and prints the speedup of the packed batched engine over the scalar
 // per-sample path on the 1024x1024 / batch-64 layer.
@@ -636,6 +697,7 @@ int run_google_benchmarks(int argc, char** argv) {
       introspection_only = true;
     }
   }
+  register_real_gemm_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;

@@ -13,7 +13,6 @@
 #include <tuple>
 #include <vector>
 
-#include "bnn/real_gemm.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
 
@@ -25,21 +24,20 @@ namespace {
 // Buckets are next-power-of-two with a cap, so a handful of classes cover
 // every practical layer. Probe dimensions are additionally capped (see
 // probe_* below) to bound first-use timing cost.
-constexpr std::size_t kRowsCap = 4096;   // weight rows / real n
-constexpr std::size_t kWordsCap = 1024;  // words per row / real k
-constexpr std::size_t kBatchCap = 64;    // x rows / real m
+constexpr std::size_t kRowsCap = 4096;   // weight rows
+constexpr std::size_t kWordsCap = 1024;  // words per row
+constexpr std::size_t kBatchCap = 64;    // x rows
 
 std::size_t bucket(std::size_t v, std::size_t cap) {
   v = std::max<std::size_t>(1, v);
   return std::min(std::bit_ceil(v), cap);
 }
 
-enum Family : int { kXnor = 0, kReal = 1 };
-
-using Key = std::tuple<int, std::size_t, std::size_t, std::size_t>;
+// (bucketed weight rows, words per row, batch rows).
+using Key = std::tuple<std::size_t, std::size_t, std::size_t>;
 
 struct Choice {
-  std::size_t index = 0;  // registry index (xnor) or block width (real)
+  std::size_t index = 0;  // registry index
   std::string kernel;     // candidate name
   double best_ns = 0.0;   // measured probe-unit time (0 = loaded/forced)
 };
@@ -132,50 +130,6 @@ Choice tune_xnor_class(std::size_t rows_b, std::size_t words_b,
     }
   }
   EB_ASSERT(have, "kernel registry has no supported candidate");
-  return best;
-}
-
-constexpr std::size_t kRealBlocks[] = {2, 4, 8};
-
-Choice tune_real_class(std::size_t n_b, std::size_t k_b, std::size_t m_b) {
-  const std::size_t n = std::min<std::size_t>(n_b, 128);
-  const std::size_t k = std::min<std::size_t>(k_b, 256);
-  const std::size_t m = std::min<std::size_t>(m_b, 8);
-  std::uint64_t seed = 0xb10cULL ^ (n_b << 20) ^ (k_b << 8) ^ m_b;
-  const auto fill = [&seed](std::vector<double>& v) {
-    for (auto& e : v) {
-      // Map to [-1, 1): value range is irrelevant to timing, but keep it
-      // finite and varied so no subnormal/NaN slow paths trigger.
-      e = static_cast<double>(static_cast<std::int64_t>(splitmix64(seed) >>
-                                                        11)) *
-              (2.0 / 9007199254740992.0) -
-          1.0;
-    }
-  };
-  std::vector<double> x(m * k);
-  std::vector<double> w(n * k);
-  std::vector<double> bias(n);
-  std::vector<double> out(m * n);
-  fill(x);
-  fill(w);
-  fill(bias);
-
-  Choice best;
-  double best_ns = 0.0;
-  bool have = false;
-  for (const std::size_t block : kRealBlocks) {
-    const double ns = time_unit_ns([&] {
-      real_gemm_bias_blocked(m, n, k, x.data(), w.data(), bias.data(),
-                             out.data(), block, nullptr);
-      g_probe_sink.fetch_add(static_cast<std::uint64_t>(out[0] != 0.0),
-                             std::memory_order_relaxed);
-    });
-    if (!have || ns < best_ns) {
-      have = true;
-      best_ns = ns;
-      best = Choice{block, "rb" + std::to_string(block), ns};
-    }
-  }
   return best;
 }
 
@@ -285,7 +239,7 @@ const Kernel& Autotuner::pick_xnor(std::size_t w_rows,
   if (const Kernel* f = forced()) {
     return *f;
   }
-  const Key key{kXnor, bucket(w_rows, kRowsCap), bucket(words_per_row, kWordsCap),
+  const Key key{bucket(w_rows, kRowsCap), bucket(words_per_row, kWordsCap),
                 bucket(batch_rows, kBatchCap)};
   {
     const std::shared_lock<std::shared_mutex> lock(impl_->mu);
@@ -298,34 +252,13 @@ const Kernel& Autotuner::pick_xnor(std::size_t w_rows,
   // the same class race benignly -- every candidate is bit-identical, and
   // the first insert wins the pin.
   Choice tuned =
-      tune_xnor_class(std::get<1>(key), std::get<2>(key), std::get<3>(key));
+      tune_xnor_class(std::get<0>(key), std::get<1>(key), std::get<2>(key));
   const std::unique_lock<std::shared_mutex> lock(impl_->mu);
   const auto [it, inserted] = impl_->table.emplace(key, std::move(tuned));
   if (inserted) {
     impl_->dirty.store(true, std::memory_order_relaxed);
   }
   return kernel_registry()[it->second.index];
-}
-
-std::size_t Autotuner::pick_real_block(std::size_t m, std::size_t n,
-                                       std::size_t k) {
-  const Key key{kReal, bucket(n, kRowsCap), bucket(k, kWordsCap),
-                bucket(m, kBatchCap)};
-  {
-    const std::shared_lock<std::shared_mutex> lock(impl_->mu);
-    const auto it = impl_->table.find(key);
-    if (it != impl_->table.end()) {
-      return it->second.index;
-    }
-  }
-  Choice tuned =
-      tune_real_class(std::get<1>(key), std::get<2>(key), std::get<3>(key));
-  const std::unique_lock<std::shared_mutex> lock(impl_->mu);
-  const auto [it, inserted] = impl_->table.emplace(key, std::move(tuned));
-  if (inserted) {
-    impl_->dirty.store(true, std::memory_order_relaxed);
-  }
-  return it->second.index;
 }
 
 void Autotuner::warmup_xnor(std::size_t w_rows, std::size_t cols,
@@ -341,10 +274,9 @@ std::string Autotuner::to_json() const {
   for (const auto& [key, choice] : impl_->table) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "    {\"family\": \""
-       << (std::get<0>(key) == kXnor ? "xnor" : "real") << "\", \"rows\": "
-       << std::get<1>(key) << ", \"words\": " << std::get<2>(key)
-       << ", \"batch\": " << std::get<3>(key) << ", \"kernel\": \""
+    os << "    {\"family\": \"xnor\", \"rows\": " << std::get<0>(key)
+       << ", \"words\": " << std::get<1>(key)
+       << ", \"batch\": " << std::get<2>(key) << ", \"kernel\": \""
        << choice.kernel << "\"}";
   }
   os << (first ? "]\n}\n" : "\n  ]\n}\n");
@@ -375,34 +307,23 @@ void Autotuner::load_json(const std::string& text) {
     const std::size_t batch = json_size_field(obj, "batch");
     EB_REQUIRE(family == "xnor" || family == "real",
                "tune cache entry has unknown family '" + family + "'");
-    if (family == "xnor") {
-      // Skip candidates this build/host cannot run (cache portability):
-      // the shape re-tunes on first use instead.
-      const auto& registry = kernel_registry();
-      std::size_t idx = registry.size();
-      for (std::size_t i = 0; i < registry.size(); ++i) {
-        if (kernel == registry[i].name && registry[i].supported) {
-          idx = i;
-          break;
-        }
-      }
-      if (idx == registry.size()) {
-        continue;
-      }
-      parsed[Key{kXnor, rows, words, batch}] = Choice{idx, kernel, 0.0};
-    } else {
-      std::size_t block = 0;
-      for (const std::size_t b : kRealBlocks) {
-        if (kernel == "rb" + std::to_string(b)) {
-          block = b;
-          break;
-        }
-      }
-      if (block == 0) {
-        continue;
-      }
-      parsed[Key{kReal, rows, words, batch}] = Choice{block, kernel, 0.0};
+    if (family == "real") {
+      continue;  // retired row-block family: the real GEMM is not tuned
     }
+    // Skip candidates this build/host cannot run (cache portability):
+    // the shape re-tunes on first use instead.
+    const auto& registry = kernel_registry();
+    std::size_t idx = registry.size();
+    for (std::size_t i = 0; i < registry.size(); ++i) {
+      if (kernel == registry[i].name && registry[i].supported) {
+        idx = i;
+        break;
+      }
+    }
+    if (idx == registry.size()) {
+      continue;
+    }
+    parsed[Key{rows, words, batch}] = Choice{idx, kernel, 0.0};
   }
   const std::unique_lock<std::shared_mutex> lock(impl_->mu);
   for (auto& [key, choice] : parsed) {
@@ -435,10 +356,10 @@ std::vector<TunedEntry> Autotuner::table() const {
   out.reserve(impl_->table.size());
   for (const auto& [key, choice] : impl_->table) {
     TunedEntry e;
-    e.family = std::get<0>(key) == kXnor ? "xnor" : "real";
-    e.rows = std::get<1>(key);
-    e.words = std::get<2>(key);
-    e.batch = std::get<3>(key);
+    e.family = "xnor";
+    e.rows = std::get<0>(key);
+    e.words = std::get<1>(key);
+    e.batch = std::get<2>(key);
     e.kernel = choice.kernel;
     e.best_ns = choice.best_ns;
     out.push_back(std::move(e));

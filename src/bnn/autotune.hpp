@@ -12,9 +12,9 @@
 // Shape classes: (weight rows, words per row, batch rows) each rounded up
 // to the next power of two and capped (4096 / 1024 / 64), so e.g. all
 // 1000..1024-wide layers at batch 33..64 share one tuned pick. The real
-// GEMM's row-blocked epilogue rides the same table as a second family:
-// pick_real_block() chooses among the 2/4/8-row accumulator blocks of
-// bnn/real_gemm.hpp (also bit-identical by construction).
+// GEMM (bnn/real_gemm.hpp) is not tuned: its kernel is fixed by the
+// host's ISA, and cache entries of the retired "real" family are skipped
+// on load.
 //
 // Knobs (parsed strictly via eb::Config::env_* -- a typo fails loudly):
 //  * EB_KERNEL=<name>     -- force one registry kernel for every xnor
@@ -40,11 +40,11 @@ namespace eb::bnn {
 
 /// One pinned decision, as exposed for reports, caches and tests.
 struct TunedEntry {
-  std::string family;  ///< "xnor" (sweep kernels) or "real" (row blocks).
-  std::size_t rows = 0;   ///< Bucketed weight rows (xnor) / out rows n (real).
-  std::size_t words = 0;  ///< Bucketed words per row (xnor) / depth k (real).
-  std::size_t batch = 0;  ///< Bucketed batch rows (xnor) / batch m (real).
-  std::string kernel;     ///< Winning candidate ("avx2", ..., or "rb2/4/8").
+  std::string family;     ///< Always "xnor" (the sweep kernels).
+  std::size_t rows = 0;   ///< Bucketed weight rows.
+  std::size_t words = 0;  ///< Bucketed words per row.
+  std::size_t batch = 0;  ///< Bucketed batch rows.
+  std::string kernel;     ///< Winning candidate ("avx2", "portable", ...).
   double best_ns = 0.0;   ///< Winner's measured time per probe unit (0 when
                           ///< loaded from cache or forced).
 };
@@ -65,11 +65,6 @@ class Autotuner {
                                         std::size_t words_per_row,
                                         std::size_t batch_rows);
 
-  /// The row-block width (2, 4 or 8) for one real_gemm_bias call of
-  /// m x n x k. Cached per shape class like pick_xnor.
-  [[nodiscard]] std::size_t pick_real_block(std::size_t m, std::size_t n,
-                                            std::size_t k);
-
   /// Eagerly tunes the shape class of a (w_rows x cols) binary layer hit
   /// by batches of `batch_rows` (model-registration hook; `cols` in bits).
   void warmup_xnor(std::size_t w_rows, std::size_t cols,
@@ -83,8 +78,8 @@ class Autotuner {
   [[nodiscard]] std::string to_json() const;
   /// Merges entries parsed from `text` into the table. Entries naming a
   /// kernel this build/host cannot run are skipped (a cache written on an
-  /// AVX-512 host must still load on an AVX2 one); malformed JSON raises
-  /// eb::Error.
+  /// AVX-512 host must still load on an AVX2 one), and so are entries of
+  /// the retired "real" family; malformed JSON raises eb::Error.
   void load_json(const std::string& text);
   /// to_json() to `path` (throws on I/O failure).
   void save_cache_file(const std::string& path) const;
@@ -92,7 +87,7 @@ class Autotuner {
   /// the file does not exist.
   bool load_cache_file(const std::string& path);
 
-  /// Current table, deterministic order (family, then buckets ascending).
+  /// Current table, deterministic order (buckets ascending).
   [[nodiscard]] std::vector<TunedEntry> table() const;
   /// Pinned decisions count (tests / reports).
   [[nodiscard]] std::size_t table_size() const;

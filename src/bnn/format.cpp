@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -52,6 +51,16 @@ void put_f64_span(std::vector<std::uint8_t>& out, const double* v,
                   std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     put_f64(out, v[i]);
+  }
+}
+
+// A real layer's weights in row-major order, read straight from its
+// panels (no unpacked copy).
+void put_panels(std::vector<std::uint8_t>& out, const PanelMatrix& w) {
+  for (std::size_t j = 0; j < w.rows(); ++j) {
+    for (std::size_t kk = 0; kk < w.cols(); ++kk) {
+      put_f64(out, w.at(j, kk));
+    }
   }
 }
 
@@ -166,13 +175,6 @@ BitVec get_bits(Reader& r, std::size_t nbits, const char* what) {
   return bits;
 }
 
-Tensor make_tensor(std::vector<std::size_t> shape, std::vector<double> v) {
-  Tensor t(std::move(shape));
-  EB_REQUIRE(t.size() == v.size(), "ebm: tensor payload size mismatch");
-  std::memcpy(t.data(), v.data(), v.size() * sizeof(double));
-  return t;
-}
-
 std::uint8_t precision_tag(Precision p) {
   return p == Precision::Binary ? 0 : 1;
 }
@@ -223,9 +225,9 @@ void encode_layer(std::vector<std::uint8_t>& out, const Layer& layer) {
     type = EbmLayerType::kDense;
     put_str(body, d->name());
     put_u8(body, precision_tag(d->spec().precision));
-    put_u32(body, static_cast<std::uint32_t>(d->weights().dim(0)));
-    put_u32(body, static_cast<std::uint32_t>(d->weights().dim(1)));
-    put_f64_span(body, d->weights().data(), d->weights().size());
+    put_u32(body, static_cast<std::uint32_t>(d->panels().rows()));
+    put_u32(body, static_cast<std::uint32_t>(d->panels().cols()));
+    put_panels(body, d->panels());
     put_f64_span(body, d->bias().data(), d->bias().size());
   } else if (const auto* bd = dynamic_cast<const BinaryDenseLayer*>(&layer)) {
     type = EbmLayerType::kBinaryDense;
@@ -240,7 +242,7 @@ void encode_layer(std::vector<std::uint8_t>& out, const Layer& layer) {
     put_str(body, c->name());
     put_u8(body, precision_tag(c->spec().precision));
     put_geom(body, c->geom());
-    put_f64_span(body, c->weights().data(), c->weights().size());
+    put_panels(body, c->panels());
     put_f64_span(body, c->bias().data(), c->bias().size());
   } else if (const auto* bc = dynamic_cast<const BinaryConv2dLayer*>(&layer)) {
     type = EbmLayerType::kBinaryConv2d;
@@ -297,9 +299,8 @@ void decode_layer(Network& net, EbmLayerType type, Reader& r) {
       const std::size_t in_n = r.get_dim(8, "dense cols");
       std::vector<double> w = r.get_f64_vec(out_n * in_n, "dense weights");
       std::vector<double> b = r.get_f64_vec(out_n, "dense bias");
-      net.add(DenseLayer(std::move(name),
-                         make_tensor({out_n, in_n}, std::move(w)),
-                         make_tensor({out_n}, std::move(b)), prec));
+      net.add(DenseLayer(std::move(name), Tensor({out_n, in_n}, std::move(w)),
+                         Tensor({out_n}, std::move(b)), prec));
       return;
     }
     case EbmLayerType::kBinaryDense: {
@@ -330,8 +331,8 @@ void decode_layer(Network& net, EbmLayerType type, Reader& r) {
       std::vector<double> b = r.get_f64_vec(g.out_ch, "conv bias");
       net.add(Conv2dLayer(
           std::move(name), g,
-          make_tensor({g.out_ch, g.in_ch, g.kernel, g.kernel}, std::move(w)),
-          make_tensor({g.out_ch}, std::move(b)), prec));
+          Tensor({g.out_ch, g.in_ch, g.kernel, g.kernel}, std::move(w)),
+          Tensor({g.out_ch}, std::move(b)), prec));
       return;
     }
     case EbmLayerType::kBinaryConv2d: {
@@ -463,16 +464,14 @@ ThresholdLayer fold_bn_sign(const BatchNormLayer& bn, long long m,
 
 // Deep copy of one layer into `net` (layers are type-erased behind
 // unique_ptr, so cloning walks the same dynamic_cast chain the encoder
-// uses).
+// uses). Real layers are copied whole, panels and all.
 void append_clone(Network& net, const Layer& layer) {
   if (const auto* d = dynamic_cast<const DenseLayer*>(&layer)) {
-    net.add(DenseLayer(d->name(), d->weights(), d->bias(),
-                       d->spec().precision));
+    net.add(*d);
   } else if (const auto* bd = dynamic_cast<const BinaryDenseLayer*>(&layer)) {
     net.add(BinaryDenseLayer(bd->name(), bd->weights()));
   } else if (const auto* c = dynamic_cast<const Conv2dLayer*>(&layer)) {
-    net.add(Conv2dLayer(c->name(), c->geom(), c->weights(), c->bias(),
-                        c->spec().precision));
+    net.add(*c);
   } else if (const auto* bc = dynamic_cast<const BinaryConv2dLayer*>(&layer)) {
     net.add(BinaryConv2dLayer(bc->name(), bc->geom(), bc->kernels()));
   } else if (const auto* bn = dynamic_cast<const BatchNormLayer*>(&layer)) {

@@ -24,15 +24,16 @@ std::vector<Tensor> Layer::forward_batch(std::span<const Tensor> xs,
 
 // ---------------------------------------------------------------- Dense --
 
+// The weight Tensor's buffer becomes the panels: packed in place, no copy.
 DenseLayer::DenseLayer(std::string name, Tensor weights, Tensor bias,
                        Precision precision)
-    : name_(std::move(name)),
-      weights_(std::move(weights)),
-      bias_(std::move(bias)),
-      precision_(precision) {
-  EB_REQUIRE(weights_.rank() == 2, "dense weights must be [out, in]");
-  EB_REQUIRE(bias_.size() == weights_.dim(0),
+    : name_(std::move(name)), bias_(std::move(bias)), precision_(precision) {
+  EB_REQUIRE(weights.rank() == 2, "dense weights must be [out, in]");
+  EB_REQUIRE(bias_.size() == weights.dim(0),
              "bias length must match output count");
+  const std::size_t out = weights.dim(0);
+  const std::size_t in = weights.dim(1);
+  weights_ = PanelMatrix(out, in, std::move(weights).release());
 }
 
 DenseLayer DenseLayer::random(std::string name, std::size_t in,
@@ -42,17 +43,22 @@ DenseLayer DenseLayer::random(std::string name, std::size_t in,
                     Tensor::zeros({out}), precision);
 }
 
+Tensor DenseLayer::weights() const {
+  return Tensor({weights_.rows(), weights_.cols()}, weights_.unpack());
+}
+
 Tensor DenseLayer::forward(const Tensor& x) const {
-  EB_REQUIRE(x.size() == weights_.dim(1),
+  EB_REQUIRE(x.size() == weights_.cols(),
              "dense input size mismatch in " + name_);
-  const std::size_t out = weights_.dim(0);
-  const std::size_t in = weights_.dim(1);
+  // Direct loop, not the panel GEMM: the per-sample path stays an
+  // independent reference for forward_batch.
+  const std::size_t out = weights_.rows();
+  const std::size_t in = weights_.cols();
   Tensor y({out});
   for (std::size_t o = 0; o < out; ++o) {
     double acc = bias_[o];
-    const double* w = weights_.data() + o * in;
     for (std::size_t i = 0; i < in; ++i) {
-      acc += w[i] * x[i];
+      acc += weights_.at(o, i) * x[i];
     }
     y[o] = acc;
   }
@@ -61,8 +67,8 @@ Tensor DenseLayer::forward(const Tensor& x) const {
 
 std::vector<Tensor> DenseLayer::forward_batch(std::span<const Tensor> xs,
                                               ThreadPool& pool) const {
-  const std::size_t out_n = weights_.dim(0);
-  const std::size_t in = weights_.dim(1);
+  const std::size_t out_n = weights_.rows();
+  const std::size_t in = weights_.cols();
   std::vector<double> x(xs.size() * in);
   pool.parallel_for(0, xs.size(), 8, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
@@ -72,8 +78,8 @@ std::vector<Tensor> DenseLayer::forward_batch(std::span<const Tensor> xs,
     }
   });
   std::vector<double> y(xs.size() * out_n);
-  real_gemm_bias(xs.size(), out_n, in, x.data(), weights_.data(),
-                 bias_.data(), y.data(), &pool);
+  real_gemm_bias(xs.size(), x.data(), weights_, bias_.data(), y.data(),
+                 &pool);
   std::vector<Tensor> out(xs.size(), Tensor({out_n}));
   for (std::size_t i = 0; i < xs.size(); ++i) {
     std::memcpy(out[i].data(), y.data() + i * out_n,
@@ -87,8 +93,8 @@ LayerSpec DenseLayer::spec() const {
   s.kind = LayerKind::Dense;
   s.precision = precision_;
   s.name = name_;
-  s.in_features = weights_.dim(1);
-  s.out_features = weights_.dim(0);
+  s.in_features = weights_.cols();
+  s.out_features = weights_.rows();
   return s;
 }
 
@@ -180,18 +186,18 @@ inline long long conv_in_coord(std::size_t out, std::size_t stride,
 
 Conv2dLayer::Conv2dLayer(std::string name, Conv2dGeom geom, Tensor weights,
                          Tensor bias, Precision precision)
-    : name_(std::move(name)),
-      geom_(geom),
-      weights_(std::move(weights)),
-      bias_(std::move(bias)),
+    : name_(std::move(name)), geom_(geom), bias_(std::move(bias)),
       precision_(precision) {
-  EB_REQUIRE(weights_.rank() == 4, "conv weights must be [oc, ic, k, k]");
-  EB_REQUIRE(weights_.dim(0) == geom_.out_ch &&
-                 weights_.dim(1) == geom_.in_ch &&
-                 weights_.dim(2) == geom_.kernel &&
-                 weights_.dim(3) == geom_.kernel,
+  EB_REQUIRE(weights.rank() == 4, "conv weights must be [oc, ic, k, k]");
+  EB_REQUIRE(weights.dim(0) == geom_.out_ch &&
+                 weights.dim(1) == geom_.in_ch &&
+                 weights.dim(2) == geom_.kernel &&
+                 weights.dim(3) == geom_.kernel,
              "conv weight shape mismatch");
   EB_REQUIRE(bias_.size() == geom_.out_ch, "conv bias shape mismatch");
+  weights_ = PanelMatrix(geom_.out_ch,
+                         geom_.in_ch * geom_.kernel * geom_.kernel,
+                         std::move(weights).release());
 }
 
 Conv2dLayer Conv2dLayer::random(std::string name, Conv2dGeom geom,
@@ -203,6 +209,11 @@ Conv2dLayer Conv2dLayer::random(std::string name, Conv2dGeom geom,
       Tensor::random_uniform({geom.out_ch, geom.in_ch, geom.kernel, geom.kernel},
                              1.0 / std::sqrt(fan_in), rng),
       Tensor::zeros({geom.out_ch}), precision);
+}
+
+Tensor Conv2dLayer::weights() const {
+  return Tensor({geom_.out_ch, geom_.in_ch, geom_.kernel, geom_.kernel},
+                weights_.unpack());
 }
 
 Tensor Conv2dLayer::forward(const Tensor& x) const {
@@ -226,7 +237,9 @@ Tensor Conv2dLayer::forward(const Tensor& x) const {
               if (r < 0 || c < 0) {
                 continue;  // zero padding
               }
-              acc += weights_.at({oc, ic, kh, kw}) *
+              acc += weights_.at(oc, (ic * geom_.kernel + kh) *
+                                             geom_.kernel +
+                                         kw) *
                      x.at({ic, static_cast<std::size_t>(r),
                            static_cast<std::size_t>(c)});
             }
@@ -286,10 +299,10 @@ std::vector<Tensor> Conv2dLayer::forward_batch(std::span<const Tensor> xs,
     }
   });
 
-  // weights_ is [oc, ic, k, k] row-major == out_ch rows of `patch` values.
+  // weights_ holds out_ch panel rows of `patch` values, (ic, kh, kw) order.
   std::vector<double> y(xs.size() * windows * geom_.out_ch);
-  real_gemm_bias(xs.size() * windows, geom_.out_ch, patch, cols.data(),
-                 weights_.data(), bias_.data(), y.data(), &pool);
+  real_gemm_bias(xs.size() * windows, cols.data(), weights_, bias_.data(),
+                 y.data(), &pool);
 
   std::vector<Tensor> out(xs.size(), Tensor({geom_.out_ch, oh, ow}));
   pool.parallel_for(0, xs.size(), 1, [&](std::size_t begin, std::size_t end) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bnn/packed.hpp"
+#include "bnn/real_gemm.hpp"
 #include "bnn/spec.hpp"
 #include "bnn/tensor.hpp"
 #include "common/bitvec.hpp"
@@ -44,6 +45,14 @@ class Layer {
 };
 
 // Higher-precision dense layer (paper keeps first/last layers non-binary).
+//
+// The weights are held once, as the k-major 16-row panels of a
+// PanelMatrix (bnn/real_gemm.hpp), packed in place in the buffer of the
+// Tensor the layer is built from. forward_batch() runs the panel GEMM,
+// bias-first and k-ascending with no fused multiply-add; forward() is a
+// direct loop over the same weights in the same order, so the two are
+// bit-identical and the per-sample path checks the batched one.
+// weights() unpacks a row-major copy on demand.
 class DenseLayer final : public Layer {
  public:
   // weights shape [out, in]; bias shape [out].
@@ -55,19 +64,20 @@ class DenseLayer final : public Layer {
                                          Rng& rng);
 
   [[nodiscard]] Tensor forward(const Tensor& x) const override;
-  // One blocked real-valued GEMM over the whole batch (bit-identical to
-  // the per-sample loop; uses the batch dimension instead of one row).
+  // One panel GEMM over the whole batch (m = batch rows).
   [[nodiscard]] std::vector<Tensor> forward_batch(
       std::span<const Tensor> xs, ThreadPool& pool) const override;
   [[nodiscard]] LayerSpec spec() const override;
   [[nodiscard]] std::string name() const override { return name_; }
 
-  [[nodiscard]] const Tensor& weights() const { return weights_; }
+  // Row-major [out, in] copy of the weights, exactly the constructor's.
+  [[nodiscard]] Tensor weights() const;
+  [[nodiscard]] const PanelMatrix& panels() const { return weights_; }
   [[nodiscard]] const Tensor& bias() const { return bias_; }
 
  private:
   std::string name_;
-  Tensor weights_;
+  PanelMatrix weights_;
   Tensor bias_;
   Precision precision_;
 };
@@ -101,7 +111,8 @@ class BinaryDenseLayer final : public Layer {
   PackedMatrix packed_;  // contiguous copy of weights_, built once
 };
 
-// Higher-precision conv layer (first layer of the CNNs).
+// Higher-precision conv layer (first layer of the CNNs). Its weights are
+// out_ch panel rows of in_ch*k*k values, held like DenseLayer's.
 class Conv2dLayer final : public Layer {
  public:
   // weights shape [out_ch, in_ch, k, k]; bias [out_ch].
@@ -112,21 +123,23 @@ class Conv2dLayer final : public Layer {
                                           Precision precision, Rng& rng);
 
   [[nodiscard]] Tensor forward(const Tensor& x) const override;
-  // Real-valued im2col + one blocked GEMM across all windows of all
+  // Real-valued im2col + one panel GEMM across all windows of all
   // samples (bit-identical to the per-sample loop).
   [[nodiscard]] std::vector<Tensor> forward_batch(
       std::span<const Tensor> xs, ThreadPool& pool) const override;
   [[nodiscard]] LayerSpec spec() const override;
   [[nodiscard]] std::string name() const override { return name_; }
 
-  [[nodiscard]] const Tensor& weights() const { return weights_; }
+  // [out_ch, in_ch, k, k] copy of the weights, exactly the constructor's.
+  [[nodiscard]] Tensor weights() const;
+  [[nodiscard]] const PanelMatrix& panels() const { return weights_; }
   [[nodiscard]] const Tensor& bias() const { return bias_; }
   [[nodiscard]] const Conv2dGeom& geom() const { return geom_; }
 
  private:
   std::string name_;
   Conv2dGeom geom_;
-  Tensor weights_;
+  PanelMatrix weights_;
   Tensor bias_;
   Precision precision_;
 };

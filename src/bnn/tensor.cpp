@@ -1,6 +1,7 @@
 #include "bnn/tensor.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -19,6 +20,13 @@ std::size_t shape_product(const std::vector<std::size_t>& shape) {
 Tensor::Tensor(std::vector<std::size_t> shape)
     : shape_(std::move(shape)), data_(shape_product(shape_), 0.0) {
   EB_REQUIRE(!shape_.empty(), "tensor rank must be >= 1");
+}
+
+Tensor::Tensor(std::vector<std::size_t> shape, std::vector<double> data)
+    : shape_(std::move(shape)), data_(std::move(data)) {
+  EB_REQUIRE(!shape_.empty(), "tensor rank must be >= 1");
+  EB_REQUIRE(shape_product(shape_) == data_.size(),
+             "tensor data size must match its shape");
 }
 
 Tensor Tensor::zeros(std::vector<std::size_t> shape) {
@@ -72,6 +80,11 @@ void Tensor::reshape(std::vector<std::size_t> shape) {
   EB_REQUIRE(shape_product(shape) == data_.size(),
              "reshape must preserve element count");
   shape_ = std::move(shape);
+}
+
+std::vector<double> Tensor::release() && {
+  shape_.clear();
+  return std::exchange(data_, {});
 }
 
 std::string Tensor::shape_string() const {

@@ -20,6 +20,8 @@ class Tensor {
   Tensor() = default;
 
   explicit Tensor(std::vector<std::size_t> shape);
+  // Takes ownership of `data`, the row-major elements of `shape`.
+  Tensor(std::vector<std::size_t> shape, std::vector<double> data);
 
   // Convenience constructors.
   [[nodiscard]] static Tensor zeros(std::vector<std::size_t> shape);
@@ -47,6 +49,10 @@ class Tensor {
 
   // Reshape without copying; product of dims must match size().
   void reshape(std::vector<std::size_t> shape);
+
+  // Moves the row-major elements out, leaving an empty rank-0 tensor
+  // (how a layer adopts its weight buffer without copying it).
+  [[nodiscard]] std::vector<double> release() &&;
 
   [[nodiscard]] std::string shape_string() const;
 

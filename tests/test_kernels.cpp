@@ -14,7 +14,6 @@
 #include "bnn/autotune.hpp"
 #include "bnn/kernels.hpp"
 #include "bnn/packed.hpp"
-#include "bnn/real_gemm.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -210,52 +209,6 @@ TEST(KernelIdentity, ForcedGemmMatchesTunedForEveryKernelAndThreadCount) {
   }
 }
 
-TEST(KernelIdentity, RealGemmBlockWidthsAreBitIdentical) {
-  const std::size_t m = 13;
-  const std::size_t n = 17;
-  const std::size_t k = 229;
-  RngStream rng(0x417);
-  std::vector<double> x(m * k);
-  std::vector<double> w(n * k);
-  std::vector<double> bias(n);
-  for (auto& v : x) {
-    v = rng.gaussian();
-  }
-  for (auto& v : w) {
-    v = rng.gaussian();
-  }
-  for (auto& v : bias) {
-    v = rng.gaussian();
-  }
-  ThreadPool pool4(4);
-  std::vector<double> want(m * n);
-  real_gemm_bias_blocked(m, n, k, x.data(), w.data(), bias.data(), want.data(),
-                         2, nullptr);
-  for (const std::size_t block : {2u, 4u, 8u}) {
-    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool4}) {
-      std::vector<double> got(m * n, -1.0);
-      real_gemm_bias_blocked(m, n, k, x.data(), w.data(), bias.data(),
-                             got.data(), block, pool);
-      EXPECT_EQ(got, want) << "block=" << block;  // exact, not approximate
-    }
-  }
-  // The tuned entry point must agree too.
-  std::vector<double> tuned(m * n, -1.0);
-  real_gemm_bias(m, n, k, x.data(), w.data(), bias.data(), tuned.data(),
-                 &pool4);
-  EXPECT_EQ(tuned, want);
-}
-
-TEST(KernelIdentity, RealGemmRejectsBadBlockWidth) {
-  double x = 1.0;
-  double w = 2.0;
-  double out = 0.0;
-  EXPECT_THROW(real_gemm_bias_blocked(1, 1, 1, &x, &w, nullptr, &out, 3),
-               Error);
-  EXPECT_THROW(real_gemm_bias_blocked(1, 1, 1, &x, &w, nullptr, &out, 16),
-               Error);
-}
-
 // --------------------------------------------------------------- autotuner --
 
 TEST(Autotune, PickPinsOneDecisionPerShapeClass) {
@@ -277,7 +230,7 @@ TEST(Autotune, PickPinsOneDecisionPerShapeClass) {
   EXPECT_EQ(tuner.table_size(), after_first + 1);
 }
 
-TEST(Autotune, WarmupPinsTheClassAndRealBlocksAreValid) {
+TEST(Autotune, WarmupPinsTheClass) {
   Autotuner& tuner = Autotuner::instance();
   const EnvGuard guard("EB_KERNEL");  // forced picks never pin entries
   unsetenv("EB_KERNEL");
@@ -291,10 +244,6 @@ TEST(Autotune, WarmupPinsTheClassAndRealBlocksAreValid) {
   EXPECT_EQ(entries[0].rows, 256u);
   EXPECT_EQ(entries[0].words, 16u);
   EXPECT_EQ(entries[0].batch, 8u);
-
-  const std::size_t block = tuner.pick_real_block(64, 1024, 1024);
-  EXPECT_TRUE(block == 2 || block == 4 || block == 8);
-  EXPECT_EQ(tuner.table_size(), 2u);
 }
 
 TEST(Autotune, ForcedKernelBypassesTheTable) {
@@ -329,7 +278,7 @@ TEST(Autotune, JsonRoundTripRestoresEveryEntry) {
   tuner.reinit_from_env();
   tuner.clear();
   tuner.warmup_xnor(128, 256, 4);
-  static_cast<void>(tuner.pick_real_block(8, 64, 512));
+  tuner.warmup_xnor(64, 512, 8);
   const std::string json = tuner.to_json();
   const auto before = tuner.table();
 
@@ -370,15 +319,22 @@ TEST(Autotune, CacheFileRoundTripAndMissingFile) {
 TEST(Autotune, MalformedOrAlienCacheEntriesAreHandled) {
   Autotuner& tuner = Autotuner::instance();
   tuner.clear();
-  // Unknown kernels / unknown families are skipped (cache portability
-  // across hosts and builds), not errors.
+  // Unknown kernels and entries of the retired "real" family (row-block
+  // picks written by older builds, e.g. "rb8") are skipped (cache
+  // portability across hosts and builds), not errors.
   tuner.load_json(R"({"version": 1, "entries": [
     {"family": "xnor", "rows": 64, "words": 4, "batch": 1,
      "kernel": "sse42_imaginary"},
+    {"family": "real", "rows": 64, "words": 1024, "batch": 64,
+     "kernel": "rb8"},
     {"family": "real", "rows": 64, "words": 4, "batch": 1,
      "kernel": "rb64"}
   ]})");
   EXPECT_EQ(tuner.table_size(), 0u);
+  // An unknown family is still an error.
+  EXPECT_THROW(tuner.load_json(R"({"entries": [{"family": "fp16",
+    "rows": 1, "words": 1, "batch": 1, "kernel": "portable"}]})"),
+               Error);
   // Structurally broken JSON throws.
   EXPECT_THROW(tuner.load_json("not json at all"), Error);
   EXPECT_THROW(tuner.load_json(R"({"entries": [{"family": "xnor"}]})"), Error);

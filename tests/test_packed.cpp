@@ -7,10 +7,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 
 #include "bnn/batch_runner.hpp"
 #include "bnn/binarize.hpp"
 #include "bnn/dataset.hpp"
+#include "bnn/format.hpp"
 #include "bnn/layers.hpp"
 #include "bnn/model_zoo.hpp"
 #include "bnn/network.hpp"
@@ -241,70 +243,184 @@ TEST(PackedGemm, WidthMismatchThrows) {
 
 // --------------------------------------------------------- real GEMM --
 
-TEST(RealGemm, MatchesNaiveTripleLoopAndIsThreadCountInvariant) {
+std::vector<double> uniform_values(std::size_t count, Rng& rng) {
+  std::vector<double> v(count);
+  for (auto& e : v) {
+    e = rng.uniform(-1.0, 1.0);
+  }
+  return v;
+}
+
+// The independent reference: the naive loop over the row-major weights,
+// bias first (0.0 without one), then k ascending. The volatile product is
+// rounded on its own, so the reference cannot fuse into an FMA whatever
+// the compiler's contraction setting.
+std::vector<double> naive_gemm(std::size_t m, std::size_t n, std::size_t k,
+                               const std::vector<double>& x,
+                               const std::vector<double>& w,
+                               const double* bias) {
+  std::vector<double> out(m * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = bias != nullptr ? bias[j] : 0.0;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const volatile double p = x[i * k + kk] * w[j * k + kk];
+        acc += p;
+      }
+      out[i * n + j] = acc;
+    }
+  }
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::vector<const RealGemmKernel*> supported_real_kernels() {
+  std::vector<const RealGemmKernel*> out;
+  for (const auto& kernel : real_gemm_kernels()) {
+    if (kernel.supported) {
+      out.push_back(&kernel);
+    }
+  }
+  return out;
+}
+
+TEST(RealGemm, PortableIsAlwaysACandidate) {
+  const auto& kernels = real_gemm_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.back().name, "portable");
+  EXPECT_TRUE(kernels.back().supported);
+}
+
+TEST(RealGemm, EveryCandidateMatchesTheNaiveRowMajorLoop) {
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  ThreadPool* const pools[] = {nullptr, &pool1, &pool4};
   Rng rng(21);
-  for (const auto& [m, n, k] :
-       {std::tuple<std::size_t, std::size_t, std::size_t>{1, 1, 1},
-        {3, 65, 17},     // column-block remainder
-        {9, 130, 40}}) {  // two column blocks + remainder
-    std::vector<double> x(m * k);
-    std::vector<double> w(n * k);
-    std::vector<double> bias(n);
-    for (auto& v : x) {
-      v = rng.uniform(-1.0, 1.0);
-    }
-    for (auto& v : w) {
-      v = rng.uniform(-1.0, 1.0);
-    }
-    for (auto& v : bias) {
-      v = rng.uniform(-1.0, 1.0);
-    }
-
-    // Naive reference in the same accumulation order (bias, k ascending).
-    std::vector<double> want(m * n);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        double acc = bias[j];
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          acc += x[i * k + kk] * w[j * k + kk];
+  // n: ragged panels of 1, 5, 10 and 15 columns (at most 8 or more than
+  // 8: one or both halves masked), one full panel, full + 1-wide ragged,
+  // and MLP-L's fc1. m: remainder rows of every block height, two
+  // 64-row tiles. k: 1 up to fc1's 784.
+  for (const std::size_t n : {1u, 5u, 10u, 15u, 16u, 17u, 1500u}) {
+    for (const std::size_t k : {1u, 25u, 229u, 784u}) {
+      const std::vector<double> w = uniform_values(n * k, rng);
+      const std::vector<double> bias = uniform_values(n, rng);
+      const PanelMatrix panels(n, k, w);
+      ASSERT_TRUE(same_bits(panels.unpack(), w)) << n << "x" << k;
+      for (const std::size_t m : {1u, 3u, 4u, 5u, 64u, 65u}) {
+        if (n == 1500 && m > 5) {
+          continue;  // the n <= 17 shapes cover multi-tile row chunks
         }
-        want[i * n + j] = acc;
+        const std::vector<double> x = uniform_values(m * k, rng);
+        for (const bool with_bias : {true, false}) {
+          const double* b = with_bias ? bias.data() : nullptr;
+          const std::vector<double> want = naive_gemm(m, n, k, x, w, b);
+          for (const RealGemmKernel* kernel : supported_real_kernels()) {
+            for (ThreadPool* pool : pools) {
+              std::vector<double> got(m * n, -1.0);
+              real_gemm_bias(*kernel, m, x.data(), panels, b, got.data(),
+                             pool);
+              EXPECT_TRUE(same_bits(got, want))
+                  << kernel->name << " m=" << m << " n=" << n << " k=" << k
+                  << " bias=" << with_bias << " pool="
+                  << (pool != nullptr ? pool->size() : 0);
+            }
+          }
+        }
       }
     }
+  }
+}
 
-    std::vector<double> serial(m * n);
-    real_gemm_bias(m, n, k, x.data(), w.data(), bias.data(), serial.data(),
-                   nullptr);
-    EXPECT_EQ(serial, want) << m << "x" << n << "x" << k;
-
-    ThreadPool pool(3);
-    std::vector<double> pooled(m * n);
-    real_gemm_bias(m, n, k, x.data(), w.data(), bias.data(), pooled.data(),
-                   &pool);
-    EXPECT_EQ(pooled, want) << m << "x" << n << "x" << k;
-
-    // Without bias: pure product sum, again bit-exact vs the naive loop.
-    std::vector<double> want_nb(m * n);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        double acc = 0.0;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          acc += x[i * k + kk] * w[j * k + kk];
-        }
-        want_nb[i * n + j] = acc;
+TEST(RealGemm, NoFusedMultiplyAdd) {
+  // x*w = 1 - 2^-60 rounds to 1.0, so bias + x*w is exactly 0.0 when the
+  // multiply and the add round separately; a fused multiply-add rounds
+  // once and yields -2^-60.
+  const double x = 1.0 + std::ldexp(1.0, -30);
+  const double w = 1.0 - std::ldexp(1.0, -30);
+  for (const std::size_t n : {5u, 16u, 17u, 26u}) {
+    const std::size_t m = 9;  // full row blocks plus a remainder
+    const PanelMatrix panels(n, 1, std::vector<double>(n, w));
+    const std::vector<double> xs(m, x);
+    const std::vector<double> bias(n, -1.0);
+    for (const RealGemmKernel* kernel : supported_real_kernels()) {
+      std::vector<double> got(m * n, -1.0);
+      real_gemm_bias(*kernel, m, xs.data(), panels, bias.data(), got.data());
+      for (const double v : got) {
+        ASSERT_EQ(v, 0.0) << kernel->name << " n=" << n
+                          << ": multiply and add were fused";
       }
     }
-    std::vector<double> no_bias(m * n);
-    real_gemm_bias(m, n, k, x.data(), w.data(), nullptr, no_bias.data(),
-                   nullptr);
-    EXPECT_EQ(no_bias, want_nb) << m << "x" << n << "x" << k;
+  }
+}
+
+TEST(RealGemm, RaggedLayersKeepTheirWeightsAndEbmBytes) {
+  Rng rng(22);
+  // 7 -> 17: one full panel and a 1-wide ragged one; 17 -> 5: one 5-wide
+  // ragged panel.
+  const Tensor w1 = Tensor::random_uniform({17, 7}, 0.5, rng);
+  const Tensor b1 = Tensor::random_uniform({17}, 0.5, rng);
+  const Tensor w2 = Tensor::random_uniform({5, 17}, 0.5, rng);
+  const Tensor b2 = Tensor::random_uniform({5}, 0.5, rng);
+  Conv2dGeom g;  // 10 output channels: one ragged panel of patch 27
+  g.in_ch = 3;
+  g.out_ch = 10;
+  g.kernel = 3;
+  g.pad = 1;
+  g.in_h = 6;
+  g.in_w = 6;
+  const Tensor wc = Tensor::random_uniform({10, 3, 3, 3}, 0.5, rng);
+  const Tensor bc = Tensor::random_uniform({10}, 0.5, rng);
+
+  const auto same_tensor = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  const DenseLayer fc1("fc1", w1, b1, Precision::Int8);
+  const DenseLayer fc2("fc2", w2, b2, Precision::Int8);
+  const Conv2dLayer conv("conv", g, wc, bc, Precision::Int8);
+  EXPECT_TRUE(same_tensor(fc1.weights(), w1));
+  EXPECT_TRUE(same_tensor(fc2.weights(), w2));
+  EXPECT_TRUE(same_tensor(conv.weights(), wc));
+
+  // forward() (a direct loop reading the panels) and forward_batch() (the
+  // panel GEMM) against the naive loop over the constructor's row-major
+  // weights.
+  ThreadPool pool(2);
+  const auto values = [](const Tensor& t) {
+    return std::vector<double>(t.data(), t.data() + t.size());
+  };
+  for (const DenseLayer* fc : {&fc1, &fc2}) {
+    const Tensor wt = fc->weights();
+    const std::size_t in = wt.dim(1);
+    const std::vector<double> x = uniform_values(in, rng);
+    const std::vector<double> want =
+        naive_gemm(1, wt.dim(0), in, x, values(wt), fc->bias().data());
+    const Tensor xt({in}, x);
+    EXPECT_TRUE(same_bits(values(fc->forward(xt)), want)) << fc->name();
+    EXPECT_TRUE(same_bits(values(fc->forward_batch({&xt, 1}, pool)[0]), want))
+        << fc->name();
+  }
+
+  Network conv_net("ragged-conv", "test");
+  conv_net.add(conv);
+  Network dense_net("ragged-dense", "test");
+  dense_net.add(fc1);
+  dense_net.add(fc2);
+  for (const Network* net : {&conv_net, &dense_net}) {
+    const std::vector<std::uint8_t> bytes = encode_network(*net);
+    const Network loaded = decode_network(bytes.data(), bytes.size());
+    EXPECT_EQ(encode_network(loaded), bytes) << net->name();
   }
 }
 
 // ------------------------------------------------------- layer equivalence --
 
 TEST(BatchEquivalence, EmptyBatchYieldsEmptyResult) {
-  // The blocked-GEMM overrides must keep the base-class behavior for an
+  // The panel-GEMM overrides must keep the base-class behavior for an
   // empty batch: return an empty vector, not throw.
   Rng rng(20);
   const auto dense =
@@ -390,7 +506,7 @@ TEST(BatchEquivalence, NetworkForwardBatchMatchesScalarOnModelZoo) {
     const Tensor ref = mlp.forward(inputs[i]);
     ASSERT_EQ(batched[i].size(), ref.size());
     for (std::size_t o = 0; o < ref.size(); ++o) {
-      EXPECT_DOUBLE_EQ(batched[i][o], ref[o])
+      EXPECT_EQ(batched[i][o], ref[o])
           << "MLP-S sample " << i << " out " << o;
     }
   }
@@ -412,7 +528,7 @@ TEST(BatchEquivalence, CnnForwardBatchMatchesScalar) {
     const Tensor ref = cnn.forward(inputs[i]);
     ASSERT_EQ(batched[i].size(), ref.size());
     for (std::size_t o = 0; o < ref.size(); ++o) {
-      EXPECT_DOUBLE_EQ(batched[i][o], ref[o])
+      EXPECT_EQ(batched[i][o], ref[o])
           << "CNN-1 sample " << i << " out " << o;
     }
   }
@@ -434,7 +550,7 @@ TEST(BatchEquivalence, PredictBatchAndPoolLessOverloadMatchScalar) {
     EXPECT_EQ(preds[i], mlp.predict(inputs[i])) << "sample " << i;
     const Tensor ref = mlp.forward(inputs[i]);
     for (std::size_t o = 0; o < ref.size(); ++o) {
-      EXPECT_DOUBLE_EQ(outs[i][o], ref[o]) << "sample " << i;
+      EXPECT_EQ(outs[i][o], ref[o]) << "sample " << i;
     }
   }
 }
