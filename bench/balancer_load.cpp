@@ -44,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include "baseline.hpp"
 #include "bnn/tensor.hpp"
 #include "common/config.hpp"
 #include "common/rng.hpp"
@@ -56,6 +57,7 @@ extern char** environ;
 namespace {
 
 using eb::Config;
+using eb::bench::json_number_field;
 using eb::bnn::Tensor;
 using eb::serve::Balancer;
 using eb::serve::BalancerConfig;
@@ -229,20 +231,6 @@ std::vector<Tensor> make_inputs(std::size_t n, std::size_t dim,
   return inputs;
 }
 
-double json_number_field(const std::string& text, const std::string& key,
-                         double fallback) {
-  const std::string needle = "\"" + key + "\"";
-  const auto k = text.find(needle);
-  if (k == std::string::npos) {
-    return fallback;
-  }
-  const auto colon = text.find(':', k + needle.size());
-  if (colon == std::string::npos) {
-    return fallback;
-  }
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -406,19 +394,10 @@ int main(int argc, char** argv) {
 
   if (ci) {
     const std::string baseline_path = cfg.get_string("baseline", "");
-    if (baseline_path.empty()) {
-      std::fprintf(stderr, "FAIL: mode=ci requires baseline=<path>\n");
+    std::string text;
+    if (!eb::bench::read_baseline(baseline_path, text)) {
       return 1;
     }
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
     const double min_requests =
         json_number_field(text, "min_requests", 0.0);
     const double ratio_max = json_number_field(text, "max_p99_ratio", 0.0);

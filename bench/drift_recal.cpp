@@ -42,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "baseline.hpp"
 #include "bnn/tensor.hpp"
 #include "common/bitvec.hpp"
 #include "common/clock.hpp"
@@ -62,6 +63,7 @@ using eb::BitVec;
 using eb::Config;
 using eb::Rng;
 using eb::VirtualClock;
+using eb::bench::json_number_field;
 using eb::bnn::Tensor;
 using eb::serve::DeadlineClass;
 using eb::serve::DriftMonitor;
@@ -225,20 +227,6 @@ IntervalResult run_interval(const Workload& w, double interval_s,
   return out;
 }
 
-double json_number_field(const std::string& text, const std::string& key,
-                         double fallback) {
-  const std::string needle = "\"" + key + "\"";
-  const auto k = text.find(needle);
-  if (k == std::string::npos) {
-    return fallback;
-  }
-  const auto colon = text.find(':', k + needle.size());
-  if (colon == std::string::npos) {
-    return fallback;
-  }
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -311,19 +299,10 @@ int main(int argc, char** argv) {
   // CI gate.
   if (mode == "ci") {
     const std::string baseline_path = cfg.get_string("baseline", "");
-    if (baseline_path.empty()) {
-      std::fprintf(stderr, "FAIL: mode=ci requires baseline=<path>\n");
+    std::string text;
+    if (!eb::bench::read_baseline(baseline_path, text)) {
       return 1;
     }
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
     const double recal_min =
         json_number_field(text, "post_recal_accuracy_min", -1.0);
     const double max_dropped = json_number_field(text, "max_dropped", -1.0);

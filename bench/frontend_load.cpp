@@ -52,6 +52,7 @@
 #include <thread>
 #include <vector>
 
+#include "baseline.hpp"
 #include "bnn/model_zoo.hpp"
 #include "bnn/network.hpp"
 #include "bnn/tensor.hpp"
@@ -64,6 +65,7 @@
 namespace {
 
 using eb::Config;
+using eb::bench::json_number_field;
 using eb::bnn::Network;
 using eb::bnn::Tensor;
 using eb::serve::DeadlineClass;
@@ -562,20 +564,6 @@ WireResult run_wire(std::uint16_t port, std::size_t conns,
 
 // ---------------------------------------------------------------- main --
 
-double json_number_field(const std::string& text, const std::string& key,
-                         double fallback) {
-  const std::string needle = "\"" + key + "\"";
-  const auto k = text.find(needle);
-  if (k == std::string::npos) {
-    return fallback;
-  }
-  const auto colon = text.find(':', k + needle.size());
-  if (colon == std::string::npos) {
-    return fallback;
-  }
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 std::vector<std::size_t> parse_conns_list(const std::string& csv) {
   std::vector<std::size_t> out;
   std::stringstream ss(csv);
@@ -694,11 +682,11 @@ int main(int argc, char** argv) {
         rep.wire_r.errors + rep.inproc.errors);
   }
   const auto stats = frontend.stats();
-  std::printf("frontend: %zu conns, %zu req, %zu resp, %zu batched frames, "
-              "%zu dropped, %zu overflow kills, %zu stall kills\n",
+  std::printf("frontend: %zu conns, %zu req, %zu resp, %zu dropped, "
+              "%zu overflow kills, %zu stall kills\n",
               stats.connections, stats.requests, stats.responses,
-              stats.batched_frames, stats.dropped_responses,
-              stats.overflow_kills, stats.stall_kills);
+              stats.dropped_responses, stats.overflow_kills,
+              stats.stall_kills);
 
   const std::string json_path = cfg.get_string("json", "");
   if (!json_path.empty()) {
@@ -730,19 +718,10 @@ int main(int argc, char** argv) {
 
   if (mode == "ci") {
     const std::string baseline_path = cfg.get_string("baseline", "");
-    if (baseline_path.empty()) {
-      std::fprintf(stderr, "FAIL: mode=ci requires baseline=<path>\n");
+    std::string text;
+    if (!eb::bench::read_baseline(baseline_path, text)) {
       return 1;
     }
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
     const double min_conns = json_number_field(text, "min_conns", 0.0);
     const double ratio_max = json_number_field(text, "p99_ratio_max", 0.0);
     const double p99_budget =

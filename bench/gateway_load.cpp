@@ -39,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "baseline.hpp"
 #include "bnn/model_zoo.hpp"
 #include "bnn/network.hpp"
 #include "bnn/tensor.hpp"
@@ -52,6 +53,7 @@ namespace {
 
 using eb::Config;
 using eb::RngStream;
+using eb::bench::json_number_field;
 using eb::bnn::Network;
 using eb::bnn::Tensor;
 using eb::serve::DeadlineClass;
@@ -218,20 +220,6 @@ void json_class(std::ostringstream& os, const char* name,
      << (last ? "\n" : ",\n");
 }
 
-double json_number_field(const std::string& text, const std::string& key,
-                         double fallback) {
-  const std::string needle = "\"" + key + "\"";
-  const auto k = text.find(needle);
-  if (k == std::string::npos) {
-    return fallback;
-  }
-  const auto colon = text.find(':', k + needle.size());
-  if (colon == std::string::npos) {
-    return fallback;
-  }
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -353,19 +341,10 @@ int main(int argc, char** argv) {
   // CI gate: per-class p99 budgets + fairness band from the baseline.
   if (mode == "ci") {
     const std::string baseline_path = cfg.get_string("baseline", "");
-    if (baseline_path.empty()) {
-      std::fprintf(stderr, "FAIL: mode=ci requires baseline=<path>\n");
+    std::string text;
+    if (!eb::bench::read_baseline(baseline_path, text)) {
       return 1;
     }
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
     const double i_budget =
         json_number_field(text, "interactive_p99_budget_us", 0.0);
     const double b_budget =

@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "baseline.hpp"
 #include "bnn/batch_runner.hpp"
 #include "bnn/model_zoo.hpp"
 #include "bnn/network.hpp"
@@ -61,6 +62,7 @@ using eb::BitVec;
 using eb::Config;
 using eb::RngStream;
 using eb::ThreadPool;
+using eb::bench::json_number_field;
 using eb::bnn::Network;
 using eb::bnn::Tensor;
 using eb::serve::MetricsSnapshot;
@@ -270,22 +272,6 @@ void json_point(std::ostringstream& os, const PointResult& r, bool last) {
      << (last ? "\n" : ",\n");
 }
 
-// Minimal numeric-field extraction for the CI baseline file (flat JSON,
-// no dependency on a parser library).
-double json_number_field(const std::string& text, const std::string& key,
-                         double fallback) {
-  const std::string needle = "\"" + key + "\"";
-  const auto k = text.find(needle);
-  if (k == std::string::npos) {
-    return fallback;
-  }
-  const auto colon = text.find(':', k + needle.size());
-  if (colon == std::string::npos) {
-    return fallback;
-  }
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -476,19 +462,10 @@ int main(int argc, char** argv) {
   // CI gate: compare against the checked-in baseline.
   if (mode == "ci") {
     const std::string baseline_path = cfg.get_string("baseline", "");
-    if (baseline_path.empty()) {
-      std::fprintf(stderr, "FAIL: mode=ci requires baseline=<path>\n");
+    std::string text;
+    if (!eb::bench::read_baseline(baseline_path, text)) {
       return 1;
     }
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
     const double base_rps = json_number_field(text, "throughput_rps", 0.0);
     const double p99_budget_us =
         json_number_field(text, "p99_budget_us", 0.0);

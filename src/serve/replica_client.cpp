@@ -50,10 +50,6 @@ bool ReplicaClient::submit(wire::RequestFrame req,
       return false;
     }
     req.request_id = next_id_++;
-    // Capability flags are per-connection, not per-request: this client
-    // demultiplexes plain type-2 responses only, so a forwarded
-    // client's batch/stream opt-in must not latch on the replica link.
-    req.flags = 0;
     bytes = wire::encode_request(req);
     Pending p;
     p.on_response = std::move(on_response);
@@ -412,7 +408,7 @@ void ReplicaClient::io_loop() {
           handler(std::move(admin));
         }
       } else {
-        return;  // batch/chunk frames are never negotiated on this link
+        return;  // unknown frame type: tear down, like a desync
       }
       rpos += consumed;
     }

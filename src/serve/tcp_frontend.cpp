@@ -130,8 +130,6 @@ struct TcpFrontend::Shared {
   std::atomic<std::size_t> pings{0};
   std::atomic<std::size_t> stats_requests{0};
   std::atomic<std::size_t> admin_requests{0};
-  std::atomic<std::size_t> batched_frames{0};
-  std::atomic<std::size_t> chunked_responses{0};
   std::atomic<std::size_t> bytes_read{0};
   std::atomic<std::size_t> bytes_written{0};
   std::atomic<std::size_t> overflow_kills{0};
@@ -185,51 +183,37 @@ struct TcpFrontend::Connection
   bool reading = true;             ///< EPOLLIN armed.
   bool close_after_flush = false;  ///< Fatal frame seen: drain then close.
 
-  // -- capability latches / lifecycle flags ---------------------------
-  std::atomic<bool> batch_ok{false};   ///< Client sent kFlagAcceptBatch.
-  std::atomic<bool> stream_ok{false};  ///< Client sent kFlagAcceptStream.
+  // -- lifecycle flags ------------------------------------------------
   std::atomic<bool> read_eof{false};   ///< Peer half-closed its side.
   std::atomic<std::size_t> in_flight{0};  ///< Requests inside the gateway.
 
   // -- write side, under mu -------------------------------------------
-  /// `body` entries are bare response bodies the flusher may coalesce
-  /// into one type-3 batched frame; raw entries (error frames, chunk
-  /// frames, plain responses) are sent verbatim.
-  struct OutEntry {
-    bool body = false;
-    std::vector<std::uint8_t> bytes;
-  };
   std::mutex mu;
   bool open = true;
   bool arm_requested = false;  ///< Already queued on the loop's eventfd.
   bool want_write = false;     ///< EPOLLOUT armed (loop thread writes).
   bool kill = false;           ///< Write-queue overflow: close asap.
-  std::deque<OutEntry> outq;
+  std::deque<std::vector<std::uint8_t>> outq;  ///< Whole encoded frames.
   std::vector<std::uint8_t> wbuf;  ///< Staged bytes mid-send.
   std::size_t woff = 0;
   std::size_t out_bytes = 0;  ///< outq bytes + unsent wbuf bytes.
   Clock::time_point last_progress{};  ///< Last byte the socket took.
 
-  /// Appends encoded entries to the outbound queue and wakes the owning
-  /// loop when it is not already pending. Returns false once the
+  /// Appends one encoded frame to the outbound queue and wakes the
+  /// owning loop when it is not already pending. Returns false once the
   /// connection is closed (the caller counts a dropped response).
-  /// All entries land under one lock, so a chunked response's frames
-  /// stay contiguous even with concurrent completions on the socket.
-  bool enqueue(std::vector<OutEntry> entries) {
+  bool enqueue(std::vector<std::uint8_t> frame) {
     bool need_notify = false;
     {
       const std::lock_guard<std::mutex> lock(mu);
       if (!open) {
         return false;
       }
-      const bool was_idle = out_bytes == 0;
-      for (auto& e : entries) {
-        out_bytes += e.bytes.size();
-        outq.push_back(std::move(e));
-      }
-      if (was_idle && out_bytes > 0) {
+      if (out_bytes == 0) {
         last_progress = Clock::now();
       }
+      out_bytes += frame.size();
+      outq.push_back(std::move(frame));
       if (!kill && out_bytes > shared->cfg.max_write_queue_bytes) {
         kill = true;
         shared->overflow_kills.fetch_add(1, std::memory_order_relaxed);
@@ -562,12 +546,6 @@ class TcpFrontend::Loop {
         return false;
       }
       if (st == wire::DecodeStatus::kOk) {
-        if ((req.flags & wire::kFlagAcceptBatch) != 0) {
-          conn->batch_ok.store(true, std::memory_order_relaxed);
-        }
-        if ((req.flags & wire::kFlagAcceptStream) != 0) {
-          conn->stream_ok.store(true, std::memory_order_relaxed);
-        }
         shared_->requests.fetch_add(1, std::memory_order_relaxed);
         conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
         submit(conn, std::move(req));
@@ -665,9 +643,7 @@ class TcpFrontend::Loop {
       }
     }
     if (ok) {
-      std::vector<Connection::OutEntry> one;
-      one.push_back({false, std::move(reply)});
-      if (conn->enqueue(std::move(one))) {
+      if (conn->enqueue(std::move(reply))) {
         shared_->responses.fetch_add(1, std::memory_order_relaxed);
       } else {
         shared_->dropped_responses.fetch_add(1, std::memory_order_relaxed);
@@ -708,37 +684,12 @@ class TcpFrontend::Loop {
           }
           bool queued = false;
           try {
-            const std::size_t payload = 8 * resp.tensor.size();
-            if (resp.status == Status::kOk &&
-                conn->stream_ok.load(std::memory_order_relaxed) &&
-                payload > shared->cfg.stream_chunk_bytes) {
-              auto frames = wire::encode_response_chunks(
-                  resp, shared->cfg.stream_chunk_bytes);
-              std::vector<Connection::OutEntry> entries;
-              entries.reserve(frames.size());
-              for (auto& f : frames) {
-                entries.push_back({false, std::move(f)});
-              }
-              queued = conn->enqueue(std::move(entries));
-              if (queued) {
-                shared->chunked_responses.fetch_add(
-                    1, std::memory_order_relaxed);
-              }
-            } else if (conn->batch_ok.load(std::memory_order_relaxed)) {
-              std::vector<Connection::OutEntry> one;
-              one.push_back({true, wire::encode_response_body(resp)});
-              queued = conn->enqueue(std::move(one));
-            } else {
-              std::vector<Connection::OutEntry> one;
-              one.push_back({false, wire::encode_response(resp)});
-              queued = conn->enqueue(std::move(one));
-            }
+            queued = conn->enqueue(wire::encode_response(resp));
           } catch (const std::exception&) {
             resp.status = Status::kInternalError;
             resp.tensor = bnn::Tensor();
-            std::vector<Connection::OutEntry> one;
-            one.push_back({false, wire::encode_response(resp)});
-            queued = conn->enqueue(std::move(one));  // no payload: no throw
+            // No payload: the encode cannot throw.
+            queued = conn->enqueue(wire::encode_response(resp));
           }
           if (queued) {
             shared->responses.fetch_add(1, std::memory_order_relaxed);
@@ -760,13 +711,7 @@ class TcpFrontend::Loop {
   /// Encodes + queues a frontend-originated response (error frames).
   void send_response(const std::shared_ptr<Connection>& conn,
                      const wire::ResponseFrame& resp) {
-    std::vector<Connection::OutEntry> one;
-    if (conn->batch_ok.load(std::memory_order_relaxed)) {
-      one.push_back({true, wire::encode_response_body(resp)});
-    } else {
-      one.push_back({false, wire::encode_response(resp)});
-    }
-    if (conn->enqueue(std::move(one))) {
+    if (conn->enqueue(wire::encode_response(resp))) {
       shared_->responses.fetch_add(1, std::memory_order_relaxed);
     } else {
       shared_->dropped_responses.fetch_add(1, std::memory_order_relaxed);
@@ -879,42 +824,14 @@ class TcpFrontend::Loop {
     return true;
   }
 
-  /// Moves queued entries into the staging buffer (under conn->mu).
-  /// Consecutive `body` entries coalesce into one type-3 batched frame
-  /// when the client opted in and two or more are waiting -- the
-  /// pipelining win: one syscall-sized burst carries many completions.
+  /// Concatenates whole queued frames into the staging buffer (under
+  /// conn->mu), so one send(2) carries many pipelined responses. Every
+  /// staged byte is still unsent, so `out_bytes` does not change.
   void refill_wbuf(Connection& c) {
     while (!c.outq.empty() && c.wbuf.size() < kFlushChunk) {
-      if (!c.outq.front().body) {
-        c.wbuf.insert(c.wbuf.end(), c.outq.front().bytes.begin(),
-                      c.outq.front().bytes.end());
-        c.outq.pop_front();
-        continue;
-      }
-      std::vector<std::vector<std::uint8_t>> run;
-      std::size_t run_bytes = 0;
-      // Batch frame body: 8 fixed bytes + u16 count + (4 + len) each;
-      // stay under the frame cap with room to spare.
-      while (!c.outq.empty() && c.outq.front().body &&
-             run.size() < 65535 &&
-             10 + run_bytes + 4 * (run.size() + 1) +
-                     c.outq.front().bytes.size() <=
-                 wire::kMaxFrameBytes &&
-             (run.empty() || c.wbuf.size() + run_bytes < kFlushChunk)) {
-        run_bytes += c.outq.front().bytes.size();
-        c.out_bytes -= c.outq.front().bytes.size();
-        run.push_back(std::move(c.outq.front().bytes));
-        c.outq.pop_front();
-      }
-      std::vector<std::uint8_t> frame;
-      if (run.size() == 1) {
-        frame = wire::frame_body(run[0]);
-      } else {
-        frame = wire::encode_response_batch(run);
-        shared_->batched_frames.fetch_add(1, std::memory_order_relaxed);
-      }
-      c.out_bytes += frame.size();
-      c.wbuf.insert(c.wbuf.end(), frame.begin(), frame.end());
+      c.wbuf.insert(c.wbuf.end(), c.outq.front().begin(),
+                    c.outq.front().end());
+      c.outq.pop_front();
     }
   }
 
@@ -1076,10 +993,6 @@ TcpFrontend::Stats TcpFrontend::stats() const {
       shared_->stats_requests.load(std::memory_order_relaxed);
   s.admin_requests =
       shared_->admin_requests.load(std::memory_order_relaxed);
-  s.batched_frames =
-      shared_->batched_frames.load(std::memory_order_relaxed);
-  s.chunked_responses =
-      shared_->chunked_responses.load(std::memory_order_relaxed);
   s.bytes_read = shared_->bytes_read.load(std::memory_order_relaxed);
   s.bytes_written = shared_->bytes_written.load(std::memory_order_relaxed);
   s.overflow_kills =

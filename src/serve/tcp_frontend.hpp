@@ -14,12 +14,15 @@
 /// WireService::submit_async (a Gateway, via the adapter, or a
 /// Balancer). The completion callback -- running on a
 /// model-server worker thread, possibly out of request order -- encodes
-/// the response and appends it to the connection's outbound queue, then
-/// wakes the owning loop via an eventfd; the loop flushes with
-/// nonblocking send(2), arming EPOLLOUT only while the socket's buffer
-/// is full. Responses therefore carry the request's echoed id and a
-/// pipelined client matches them solely by that id (see the pipelining
-/// contract in serve/wire.hpp).
+/// the response as one whole type-2 frame, appends it to the
+/// connection's outbound queue and wakes the owning loop via an eventfd.
+/// The loop concatenates queued frames into a staging buffer, so one
+/// nonblocking send(2) carries many pipelined responses, and arms
+/// EPOLLOUT only while the socket's buffer is full. Responses therefore
+/// carry the request's echoed id and a pipelined client matches them
+/// solely by that id (see the pipelining contract in serve/wire.hpp).
+/// An output the wire cannot carry (over kMaxFrameBytes) is answered
+/// with an id-matched kInternalError and the connection keeps serving.
 ///
 /// Backpressure replaces the old blocking send + SO_SNDTIMEO: a client
 /// that stops reading accumulates bytes in its outbound queue until
@@ -123,9 +126,6 @@ struct TcpFrontendConfig {
   /// socket has accepted none of them for this long (client stopped
   /// reading and its receive window is full). 0 = never.
   std::uint32_t write_stall_timeout_ms = 2000;
-  /// Payload bytes per type-4 chunk when streaming large responses to
-  /// kFlagAcceptStream clients (responses above this size are chunked).
-  std::size_t stream_chunk_bytes = std::size_t{256} << 10;
 };
 
 /// The socket frontend. Constructing it binds + listens + starts the
@@ -159,8 +159,6 @@ class TcpFrontend {
     std::size_t pings = 0;        ///< Type-5 pings answered with pongs.
     std::size_t stats_requests = 0;  ///< Type-6 stats requests answered.
     std::size_t admin_requests = 0;  ///< Type-7 admin requests answered.
-    std::size_t batched_frames = 0;   ///< Type-3 frames flushed.
-    std::size_t chunked_responses = 0;  ///< Responses streamed as chunks.
     std::size_t bytes_read = 0;       ///< Raw bytes received.
     std::size_t bytes_written = 0;    ///< Raw bytes sent.
     std::size_t overflow_kills = 0;   ///< Connections killed: queue cap.

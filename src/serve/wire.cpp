@@ -1,8 +1,6 @@
 #include "serve/wire.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "common/error.hpp"
 
@@ -200,38 +198,14 @@ DecodeStatus open_frame(const std::uint8_t* data, std::size_t size,
 }
 
 // Writes the u32 length prefix into out[0..3] from the body that follows.
+// The cap is checked on the full size_t length, before narrowing to u32.
 void seal_frame(std::vector<std::uint8_t>& out) {
-  const std::uint32_t body_len = static_cast<std::uint32_t>(out.size() - 4);
-  EB_REQUIRE(body_len <= kMaxFrameBytes, "frame exceeds size cap");
+  EB_REQUIRE(out.size() - 4 <= kMaxFrameBytes, "frame exceeds size cap");
+  const auto body_len = static_cast<std::uint32_t>(out.size() - 4);
   for (int i = 0; i < 4; ++i) {
     out[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(body_len >> (8 * i));
   }
-}
-
-// Parses one response *body* (the type-2 layout after the length prefix)
-// with its own Reader; used by both decode_response and the batch
-// decoder. Returns false on any inconsistency.
-bool read_response_body(Reader& r, ResponseFrame& out) {
-  const std::uint32_t magic = r.get_u32();
-  const std::uint8_t version = r.get_u8();
-  const std::uint8_t type = r.get_u8();
-  if (!r.ok || magic != kMagic || version != kVersion ||
-      type != kTypeResponse) {
-    return false;
-  }
-  const std::uint8_t status = r.get_u8();
-  (void)r.get_u8();  // reserved
-  out.request_id = r.get_u64();
-  out.queue_us = r.get_f64();
-  out.total_us = r.get_f64();
-  if (!r.ok ||
-      status > static_cast<std::uint8_t>(Status::kInvalidArgument) ||
-      !get_tensor(r, out.tensor)) {
-    return false;
-  }
-  out.status = static_cast<Status>(status);
-  return true;
 }
 
 }  // namespace
@@ -268,7 +242,7 @@ std::vector<std::uint8_t> encode_request(const RequestFrame& req) {
   put_u8(out, kVersion);
   put_u8(out, kTypeRequest);
   put_u8(out, static_cast<std::uint8_t>(req.cls));
-  put_u8(out, req.flags);
+  put_u8(out, 0);  // reserved
   put_u64(out, req.request_id);
   put_u64(out, req.deadline_us);
   put_u16(out, static_cast<std::uint16_t>(req.model_id.size()));
@@ -278,9 +252,10 @@ std::vector<std::uint8_t> encode_request(const RequestFrame& req) {
   return out;
 }
 
-std::vector<std::uint8_t> encode_response_body(const ResponseFrame& resp) {
+std::vector<std::uint8_t> encode_response(const ResponseFrame& resp) {
   std::vector<std::uint8_t> out;
-  out.reserve(60 + 8 * resp.tensor.size());
+  out.reserve(64 + 8 * resp.tensor.size());
+  put_u32(out, 0);  // length placeholder
   put_u32(out, kMagic);
   put_u8(out, kVersion);
   put_u8(out, kTypeResponse);
@@ -294,102 +269,8 @@ std::vector<std::uint8_t> encode_response_body(const ResponseFrame& resp) {
   } else {
     put_u8(out, 0);  // ndims = 0: no payload on non-ok responses
   }
-  EB_REQUIRE(out.size() <= kMaxFrameBytes, "response frame exceeds size cap");
-  return out;
-}
-
-std::vector<std::uint8_t> frame_body(const std::vector<std::uint8_t>& body) {
-  std::vector<std::uint8_t> out;
-  out.reserve(4 + body.size());
-  put_u32(out, 0);  // length placeholder
-  out.insert(out.end(), body.begin(), body.end());
   seal_frame(out);
   return out;
-}
-
-std::vector<std::uint8_t> encode_response(const ResponseFrame& resp) {
-  return frame_body(encode_response_body(resp));
-}
-
-std::vector<std::uint8_t> encode_response_batch(
-    const std::vector<std::vector<std::uint8_t>>& bodies) {
-  EB_REQUIRE(!bodies.empty() && bodies.size() <= UINT16_MAX,
-             "batch must hold 1..65535 responses");
-  std::size_t total = 12;  // prefix + magic/ver/type/rsvd + count
-  for (const auto& b : bodies) {
-    total += 4 + b.size();
-  }
-  EB_REQUIRE(total - 4 <= kMaxFrameBytes, "batched frame exceeds size cap");
-  std::vector<std::uint8_t> out;
-  out.reserve(total);
-  put_u32(out, 0);  // length placeholder
-  put_u32(out, kMagic);
-  put_u8(out, kVersion);
-  put_u8(out, kTypeResponseBatch);
-  put_u8(out, 0);  // reserved
-  put_u16(out, static_cast<std::uint16_t>(bodies.size()));
-  for (const auto& b : bodies) {
-    EB_REQUIRE(b.size() <= UINT32_MAX, "batch entry exceeds u32 length");
-    put_u32(out, static_cast<std::uint32_t>(b.size()));
-    out.insert(out.end(), b.begin(), b.end());
-  }
-  seal_frame(out);
-  return out;
-}
-
-std::vector<std::vector<std::uint8_t>> encode_response_chunks(
-    const ResponseFrame& resp, std::size_t chunk_bytes) {
-  // Whole f64s per chunk, at least one element.
-  const std::size_t per_chunk = std::max<std::size_t>(chunk_bytes / 8, 1) * 8;
-  std::vector<std::uint8_t> slab;
-  if (resp.status == Status::kOk) {
-    slab.reserve(8 * resp.tensor.size());
-    for (std::size_t i = 0; i < resp.tensor.size(); ++i) {
-      put_f64(slab, resp.tensor[i]);
-    }
-  }
-  EB_REQUIRE(slab.size() <= kMaxStreamBytes,
-             "streamed response exceeds kMaxStreamBytes");
-  std::vector<std::vector<std::uint8_t>> frames;
-  std::size_t off = 0;
-  std::uint32_t seq = 0;
-  do {
-    const std::size_t n = std::min(per_chunk, slab.size() - off);
-    const bool last = off + n == slab.size();
-    std::vector<std::uint8_t> out;
-    out.reserve(64 + n);
-    put_u32(out, 0);  // length placeholder
-    put_u32(out, kMagic);
-    put_u8(out, kVersion);
-    put_u8(out, kTypeResponseChunk);
-    put_u8(out, static_cast<std::uint8_t>(resp.status));
-    put_u8(out, last ? 1 : 0);  // chunk flags: bit 0 = last
-    put_u64(out, resp.request_id);
-    put_u32(out, seq);
-    if (seq == 0) {
-      put_f64(out, resp.queue_us);
-      put_f64(out, resp.total_us);
-      if (resp.status == Status::kOk) {
-        EB_REQUIRE(resp.tensor.rank() <= kMaxDims,
-                   "tensor rank exceeds wire limit");
-        put_u8(out, static_cast<std::uint8_t>(resp.tensor.rank()));
-        for (std::size_t d = 0; d < resp.tensor.rank(); ++d) {
-          EB_REQUIRE(resp.tensor.dim(d) <= UINT32_MAX,
-                     "tensor dim exceeds wire limit");
-          put_u32(out, static_cast<std::uint32_t>(resp.tensor.dim(d)));
-        }
-      } else {
-        put_u8(out, 0);
-      }
-    }
-    out.insert(out.end(), slab.begin() + static_cast<std::ptrdiff_t>(off),
-               slab.begin() + static_cast<std::ptrdiff_t>(off + n));
-    seal_frame(out);
-    frames.push_back(std::move(out));
-    off += n;
-    ++seq;
-  } while (off < slab.size());
-  return frames;
 }
 
 DecodeStatus decode_request(const std::uint8_t* data, std::size_t size,
@@ -409,7 +290,7 @@ DecodeStatus decode_request(const std::uint8_t* data, std::size_t size,
   }
   RequestFrame req;
   const std::uint8_t cls = r.get_u8();
-  req.flags = r.get_u8();
+  (void)r.get_u8();  // reserved
   req.request_id = r.get_u64();
   // The envelope through the id field decoded cleanly iff the reader is
   // still ok here: a content-malformed frame then still has a
@@ -458,109 +339,6 @@ DecodeStatus decode_response(const std::uint8_t* data, std::size_t size,
   }
   resp.status = static_cast<Status>(status);
   out = std::move(resp);
-  consumed = frame_size;
-  return DecodeStatus::kOk;
-}
-
-DecodeStatus decode_response_batch(const std::uint8_t* data,
-                                   std::size_t size,
-                                   std::vector<ResponseFrame>& out,
-                                   std::size_t& consumed) {
-  consumed = 0;
-  Reader r{nullptr, 0};
-  std::size_t frame_size = 0;
-  const DecodeStatus head = open_frame(data, size, kTypeResponseBatch, r,
-                                       frame_size);
-  if (head != DecodeStatus::kOk) {
-    if (head != DecodeStatus::kNeedMoreData &&
-        head != DecodeStatus::kTooLarge) {
-      consumed = frame_size;
-    }
-    return head;
-  }
-  (void)r.get_u8();  // reserved
-  const std::uint16_t count = r.get_u16();
-  if (!r.ok || count == 0) {
-    consumed = frame_size;
-    return DecodeStatus::kMalformed;
-  }
-  std::vector<ResponseFrame> members;
-  members.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    const std::uint32_t len = r.get_u32();
-    if (!r.ok || r.remaining < len) {
-      consumed = frame_size;
-      return DecodeStatus::kMalformed;
-    }
-    Reader entry{r.p, len};
-    ResponseFrame resp;
-    if (!read_response_body(entry, resp) || entry.remaining != 0) {
-      consumed = frame_size;
-      return DecodeStatus::kMalformed;
-    }
-    r.p += len;
-    r.remaining -= len;
-    members.push_back(std::move(resp));
-  }
-  if (r.remaining != 0) {
-    consumed = frame_size;
-    return DecodeStatus::kMalformed;  // trailing bytes after last entry
-  }
-  out = std::move(members);
-  consumed = frame_size;
-  return DecodeStatus::kOk;
-}
-
-DecodeStatus decode_response_chunk(const std::uint8_t* data,
-                                   std::size_t size, ChunkFrame& out,
-                                   std::size_t& consumed) {
-  consumed = 0;
-  Reader r{nullptr, 0};
-  std::size_t frame_size = 0;
-  const DecodeStatus head = open_frame(data, size, kTypeResponseChunk, r,
-                                       frame_size);
-  if (head != DecodeStatus::kOk) {
-    if (head != DecodeStatus::kNeedMoreData &&
-        head != DecodeStatus::kTooLarge) {
-      consumed = frame_size;
-    }
-    return head;
-  }
-  ChunkFrame c;
-  const std::uint8_t status = r.get_u8();
-  const std::uint8_t cflags = r.get_u8();
-  c.request_id = r.get_u64();
-  c.seq = r.get_u32();
-  if (!r.ok ||
-      status > static_cast<std::uint8_t>(Status::kInvalidArgument)) {
-    consumed = frame_size;
-    return DecodeStatus::kMalformed;
-  }
-  c.status = static_cast<Status>(status);
-  c.last = (cflags & 1) != 0;
-  if (c.seq == 0) {
-    c.queue_us = r.get_f64();
-    c.total_us = r.get_f64();
-    const std::uint8_t ndims = r.get_u8();
-    if (!r.ok || ndims > kMaxDims) {
-      consumed = frame_size;
-      return DecodeStatus::kMalformed;
-    }
-    for (std::uint8_t d = 0; d < ndims; ++d) {
-      const std::uint32_t dim = r.get_u32();
-      if (!r.ok || dim == 0) {
-        consumed = frame_size;
-        return DecodeStatus::kMalformed;
-      }
-      c.shape.push_back(dim);
-    }
-  }
-  if (!r.ok || r.remaining % 8 != 0) {
-    consumed = frame_size;
-    return DecodeStatus::kMalformed;  // payload must be whole f64s
-  }
-  c.payload.assign(r.p, r.p + r.remaining);
-  out = std::move(c);
   consumed = frame_size;
   return DecodeStatus::kOk;
 }
@@ -844,93 +622,6 @@ DecodeStatus peek_type(const std::uint8_t* data, std::size_t size,
   }
   type_out = data[9];
   return DecodeStatus::kOk;
-}
-
-bool ChunkAssembler::feed(const ChunkFrame& chunk) {
-  auto it = std::find_if(
-      pending_.begin(), pending_.end(),
-      [&](const auto& kv) { return kv.first == chunk.request_id; });
-  if (chunk.seq == 0) {
-    if (it != pending_.end()) {
-      pending_.erase(it);  // restarted stream: drop the stale partial
-      return false;
-    }
-    Partial p;
-    p.header.request_id = chunk.request_id;
-    p.header.status = chunk.status;
-    p.header.queue_us = chunk.queue_us;
-    p.header.total_us = chunk.total_us;
-    std::size_t elems = chunk.shape.empty() ? 0 : 1;
-    for (const std::size_t d : chunk.shape) {
-      if (d == 0 || elems > kMaxStreamBytes / 8 / d) {
-        return false;
-      }
-      elems *= d;
-    }
-    if (chunk.status == Status::kOk && !chunk.shape.empty()) {
-      p.header.tensor = bnn::Tensor(chunk.shape);
-    }
-    p.bytes = chunk.payload;
-    p.next_seq = 1;
-    if (chunk.last) {
-      // Single-chunk stream: finalize immediately.
-      if (p.bytes.size() != 8 * p.header.tensor.size()) {
-        return false;
-      }
-      for (std::size_t i = 0; i < p.header.tensor.size(); ++i) {
-        std::uint64_t v = 0;
-        for (int b = 0; b < 8; ++b) {
-          v |= static_cast<std::uint64_t>(p.bytes[8 * i +
-                                                  static_cast<std::size_t>(b)])
-               << (8 * b);
-        }
-        p.header.tensor[i] = std::bit_cast<double>(v);
-      }
-      ready_.push_back(std::move(p.header));
-      return true;
-    }
-    pending_.emplace_back(chunk.request_id, std::move(p));
-    return true;
-  }
-  if (it == pending_.end() || chunk.seq != it->second.next_seq) {
-    if (it != pending_.end()) {
-      pending_.erase(it);  // out-of-sequence: the stream is unusable
-    }
-    return false;
-  }
-  Partial& p = it->second;
-  if (p.bytes.size() + chunk.payload.size() > 8 * p.header.tensor.size() ||
-      p.bytes.size() + chunk.payload.size() > kMaxStreamBytes) {
-    pending_.erase(it);
-    return false;
-  }
-  p.bytes.insert(p.bytes.end(), chunk.payload.begin(), chunk.payload.end());
-  p.next_seq = chunk.seq + 1;
-  if (!chunk.last) {
-    return true;
-  }
-  if (p.bytes.size() != 8 * p.header.tensor.size()) {
-    pending_.erase(it);
-    return false;
-  }
-  for (std::size_t i = 0; i < p.header.tensor.size(); ++i) {
-    std::uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) {
-      v |= static_cast<std::uint64_t>(p.bytes[8 * i +
-                                              static_cast<std::size_t>(b)])
-           << (8 * b);
-    }
-    p.header.tensor[i] = std::bit_cast<double>(v);
-  }
-  ready_.push_back(std::move(p.header));
-  pending_.erase(it);
-  return true;
-}
-
-std::vector<ResponseFrame> ChunkAssembler::take_ready() {
-  std::vector<ResponseFrame> out;
-  out.swap(ready_);
-  return out;
 }
 
 }  // namespace eb::serve::wire

@@ -1,7 +1,7 @@
 /// \file
 /// \brief The gateway's framed wire protocol: length-prefixed binary
-/// request/response frames with bounds-checked encode/decode, request
-/// pipelining, batched responses and chunked streaming for large outputs.
+/// request/response frames with bounds-checked encode/decode and request
+/// pipelining.
 ///
 /// Every frame is a 4-byte little-endian body length followed by the body:
 ///
@@ -10,7 +10,7 @@
 ///     └────────────┴─────────────────────────────────────────────────┘
 ///     body (request, type = 1):
 ///     ┌───────────┬────────┬──────┬───────┬──────────┬───────────────┐
-///     │ u32 MAGIC │ u8 ver │ u8 1 │ u8 cls│ u8 flags │ u64 request_id│
+///     │ u32 MAGIC │ u8 ver │ u8 1 │ u8 cls│ u8 rsvd  │ u64 request_id│
 ///     ├───────────┴───────┬┴──────┴───────┴─┬────────┴──┬────────────┤
 ///     │ u64 deadline_us   │ u16 id_len + id │ u8 ndims  │ u32 dims[] │
 ///     ├───────────────────┴─────────────────┴───────────┴────────────┤
@@ -22,19 +22,6 @@
 ///     ├───────────┴────┬───┴──────┴─┬─────────┴─┬───────┴────────────┤
 ///     │ f64 queue_us   │ f64 total  │ u8 ndims  │ u32 dims[] + f64[] │
 ///     └────────────────┴────────────┴───────────┴────────────────────┘
-///     body (batched response, type = 3; kFlagAcceptBatch clients only):
-///     ┌───────────┬────────┬──────┬─────────┬───────────┬────────────┐
-///     │ u32 MAGIC │ u8 ver │ u8 3 │ u8 rsvd │ u16 count │ entries    │
-///     └───────────┴────────┴──────┴─────────┴───────────┴────────────┘
-///     each entry: u32 len | one whole response *body* (type-2 layout)
-///     body (response chunk, type = 4; kFlagAcceptStream clients only):
-///     ┌───────────┬────────┬──────┬───────────┬──────────┬───────────┐
-///     │ u32 MAGIC │ u8 ver │ u8 4 │ u8 status │ u8 flags │ u64 req_id│
-///     ├───────────┴──┬─────┴─────┬┴───────────┴──────────┴───────────┤
-///     │ u32 seq      │ header*   │ raw payload bytes (f64 slab slice)│
-///     └──────────────┴───────────┴───────────────────────────────────┘
-///     *header (seq == 0 only): f64 queue_us | f64 total_us | u8 ndims
-///      | u32 dims[];  chunk flags: bit 0 = last chunk of the response.
 ///     body (ping, type = 5; v2+):
 ///     ┌───────────┬────────┬──────┬─────────┬─────────┬───────────────┐
 ///     │ u32 MAGIC │ u8 ver │ u8 5 │ u8 kind │ u8 rsvd │ u64 nonce     │
@@ -87,14 +74,11 @@
 /// only envelope-level garbage -- where no id can be trusted -- is
 /// answered with `request_id = 0`.
 ///
-/// The request header's flags byte announces per-connection client
-/// capabilities (each latches on first sight, for the connection's whole
-/// lifetime): kFlagAcceptBatch lets the server coalesce several queued
-/// responses into one type-3 batched frame per flush; kFlagAcceptStream
-/// lets it split a large output across type-4 chunk frames (reassembled
-/// by ChunkAssembler), lifting the single-frame kMaxFrameBytes cap for
-/// responses. Clients that send flags = 0 (all v1 clients) only ever see
-/// plain type-2 responses. Unknown flag bits are ignored.
+/// Every response -- a model's output, an error, whatever its size up to
+/// kMaxFrameBytes -- travels as one type-2 frame. Type bytes 3 and 4 are
+/// unassigned. The request's reserved byte (body byte 7) is written as 0
+/// and ignored on decode, so a peer that sets bits there is served
+/// exactly like one that does not.
 ///
 /// All integers are little-endian; tensor payloads are raw IEEE-754
 /// doubles, so a wire round trip is *byte-identical* to the in-process
@@ -127,34 +111,22 @@ inline constexpr std::uint8_t kVersion = 4;
 inline constexpr std::uint8_t kTypeRequest = 1;
 /// Frame-type byte.
 inline constexpr std::uint8_t kTypeResponse = 2;
-/// Frame-type byte: several response bodies coalesced into one frame.
-inline constexpr std::uint8_t kTypeResponseBatch = 3;
-/// Frame-type byte: one slice of a chunked (streaming) response.
-inline constexpr std::uint8_t kTypeResponseChunk = 4;
 /// Frame-type byte: health-check ping/pong (nonce echo).
 inline constexpr std::uint8_t kTypePing = 5;
 /// Frame-type byte: gateway metrics request/response.
 inline constexpr std::uint8_t kTypeStats = 6;
 /// Frame-type byte: model administration (load/unload/list), v4+.
 inline constexpr std::uint8_t kTypeModelAdmin = 7;
-/// Request flag: the client understands type-3 batched response frames.
-inline constexpr std::uint8_t kFlagAcceptBatch = 0x01;
-/// Request flag: the client understands type-4 chunked response frames.
-inline constexpr std::uint8_t kFlagAcceptStream = 0x02;
 /// Upper bound on a frame body (16 MiB): anything larger is rejected
 /// before any allocation, so a hostile length field cannot OOM the server.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 24;
 /// Upper bound on tensor rank in a frame.
 inline constexpr std::size_t kMaxDims = 8;
-/// Upper bound on a *reassembled* chunked response payload (1 GiB): the
-/// per-frame cap applies to each chunk, this one to their sum.
-inline constexpr std::size_t kMaxStreamBytes = std::size_t{1} << 30;
 
 /// A decoded request frame (client -> gateway).
 struct RequestFrame {
   std::uint64_t request_id = 0;  ///< Echoed verbatim in the response.
   DeadlineClass cls = DeadlineClass::kInteractive;  ///< Admission class.
-  std::uint8_t flags = 0;         ///< kFlagAccept* capability bits.
   std::uint64_t deadline_us = 0;  ///< 0 = class default.
   std::string model_id;           ///< Registry name to route to.
   bnn::Tensor tensor;             ///< Request payload.
@@ -167,20 +139,6 @@ struct ResponseFrame {
   double queue_us = 0.0;   ///< Result::queue_us.
   double total_us = 0.0;   ///< Result::total_us (end-to-end).
   bnn::Tensor tensor;      ///< Output; empty unless status == kOk.
-};
-
-/// One decoded type-4 chunk of a streaming response. The response header
-/// (latencies + shape) rides only on chunk 0; every chunk carries a raw
-/// byte slice of the payload slab. ChunkAssembler reassembles.
-struct ChunkFrame {
-  std::uint64_t request_id = 0;  ///< Matches the request.
-  Status status = Status::kRejected;  ///< Terminal request status.
-  std::uint32_t seq = 0;  ///< Chunk index, 0-based, strictly sequential.
-  bool last = false;      ///< Final chunk of this response.
-  double queue_us = 0.0;  ///< Valid on seq 0 only.
-  double total_us = 0.0;  ///< Valid on seq 0 only.
-  std::vector<std::size_t> shape;      ///< Valid on seq 0 only.
-  std::vector<std::uint8_t> payload;   ///< Raw little-endian f64 bytes.
 };
 
 /// A decoded type-5 health-check frame. A ping (`pong == false`) is
@@ -269,27 +227,11 @@ enum class DecodeStatus {
 /// Serializes a request frame (length prefix included).
 [[nodiscard]] std::vector<std::uint8_t> encode_request(
     const RequestFrame& req);
-/// Serializes a response frame (length prefix included).
+/// Serializes a response frame (length prefix included). Throws eb::Error
+/// when the body would exceed kMaxFrameBytes or the tensor's rank or dims
+/// exceed the wire limits.
 [[nodiscard]] std::vector<std::uint8_t> encode_response(
     const ResponseFrame& resp);
-/// Serializes a response frame's *body only* (no length prefix) -- the
-/// unit a type-3 batched frame carries. frame_body() wraps it back into a
-/// standalone type-2 frame.
-[[nodiscard]] std::vector<std::uint8_t> encode_response_body(
-    const ResponseFrame& resp);
-/// Prepends the u32 length prefix to one encoded body.
-[[nodiscard]] std::vector<std::uint8_t> frame_body(
-    const std::vector<std::uint8_t>& body);
-/// Builds one type-3 batched frame from 1..65535 encoded response bodies
-/// (see encode_response_body). Throws eb::Error when the result would
-/// exceed kMaxFrameBytes -- the caller splits the batch instead.
-[[nodiscard]] std::vector<std::uint8_t> encode_response_batch(
-    const std::vector<std::vector<std::uint8_t>>& bodies);
-/// Splits one response into type-4 chunk frames of at most `chunk_bytes`
-/// payload each (rounded down to whole f64s, minimum one). Always emits
-/// at least one chunk; the final one carries the `last` flag.
-[[nodiscard]] std::vector<std::vector<std::uint8_t>> encode_response_chunks(
-    const ResponseFrame& resp, std::size_t chunk_bytes);
 
 /// Decodes one request frame from the front of [data, data + size).
 /// kOk: `out` is filled and `consumed` is the frame's full size.
@@ -307,15 +249,6 @@ enum class DecodeStatus {
                                            std::size_t size,
                                            ResponseFrame& out,
                                            std::size_t& consumed);
-/// Decodes one type-3 batched frame into its member responses.
-[[nodiscard]] DecodeStatus decode_response_batch(
-    const std::uint8_t* data, std::size_t size,
-    std::vector<ResponseFrame>& out, std::size_t& consumed);
-/// Decodes one type-4 chunk frame.
-[[nodiscard]] DecodeStatus decode_response_chunk(const std::uint8_t* data,
-                                                 std::size_t size,
-                                                 ChunkFrame& out,
-                                                 std::size_t& consumed);
 /// Serializes a ping/pong frame (length prefix included).
 [[nodiscard]] std::vector<std::uint8_t> encode_ping(const PingFrame& ping);
 /// Decodes one type-5 ping/pong frame; same contract as decode_request.
@@ -343,36 +276,13 @@ enum class DecodeStatus {
                                               std::size_t& consumed);
 
 /// Peeks the type byte of the frame at the front of [data, data + size)
-/// without decoding the body -- how a pipelined client demultiplexes
-/// type-2/3/4 response frames (plus pongs and stats responses), and how
-/// the server side routes ping/stats frames interleaved with requests.
+/// without decoding the body -- how a pipelined client tells type-2
+/// responses from pongs and stats responses, and how the server side
+/// routes ping/stats frames interleaved with requests.
 /// Validates the length prefix, magic and version; kOk fills `type_out`
 /// (the frame may still fail its full decode later).
 [[nodiscard]] DecodeStatus peek_type(const std::uint8_t* data,
                                      std::size_t size,
                                      std::uint8_t& type_out);
-
-/// Reassembles type-4 chunk streams (any number of interleaved request
-/// ids) back into whole ResponseFrames. Not internally locked.
-class ChunkAssembler {
- public:
-  /// Feeds one decoded chunk. Returns false on a protocol violation
-  /// (out-of-sequence chunk, header-less first chunk, payload overflow,
-  /// ragged final size) -- the stream for that id is then dropped.
-  bool feed(const ChunkFrame& chunk);
-  /// Responses completed by feed() so far; clears the ready list.
-  [[nodiscard]] std::vector<ResponseFrame> take_ready();
-  /// Ids with chunks received but the last chunk still outstanding.
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
-
- private:
-  struct Partial {
-    ResponseFrame header;
-    std::vector<std::uint8_t> bytes;
-    std::uint32_t next_seq = 0;
-  };
-  std::vector<std::pair<std::uint64_t, Partial>> pending_;
-  std::vector<ResponseFrame> ready_;
-};
 
 }  // namespace eb::serve::wire

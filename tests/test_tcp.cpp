@@ -1,6 +1,6 @@
-// TcpFrontend suite: the epoll event-loop frontend and the pipelined /
-// batched / streaming wire protocol, exercised over real loopback
-// sockets (the reassembly path, not just the decoders).
+// TcpFrontend suite: the epoll event-loop frontend and the pipelined
+// wire protocol, exercised over real loopback sockets (the reassembly
+// path, not just the decoders).
 //
 // Contracts under test:
 //  * reaping -- closed connections leave the frontend's registry at
@@ -15,9 +15,10 @@
 //  * backpressure -- a client that stops reading is killed by the write
 //    queue byte cap (overflow_kills) or by the write-stall timeout
 //    (stall_kills); model-server workers never block on it;
-//  * batched + streaming responses -- kFlagAcceptBatch clients demux
-//    type-2/3 frames, kFlagAcceptStream clients reassemble type-4
-//    chunk streams byte-identically to the in-process result;
+//  * one response frame -- every response is a single type-2 frame,
+//    whatever a request carries in its reserved byte, and an output over
+//    the frame cap degrades to an id-matched kInternalError on a
+//    connection that keeps serving;
 //  * graceful shutdown -- queued and in-flight responses are dropped
 //    (counted), sockets close, nothing crashes or hangs;
 //  * control frames -- type-5 pings and type-6 stats requests are
@@ -36,7 +37,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -123,8 +123,7 @@ serve::BatchHandler big_output_handler(std::size_t elems) {
   };
 }
 
-// Blocking loopback client that understands the whole response family:
-// type-2 singles, type-3 batches and type-4 chunk streams.
+// Blocking loopback client that reads type-2 responses.
 class TestClient {
  public:
   explicit TestClient(std::uint16_t port, int rcvbuf_bytes = 0) {
@@ -184,24 +183,21 @@ class TestClient {
     return ::recv(fd_, buf, cap, 0);
   }
 
-  // Blocks until one whole response is available, demultiplexing all
-  // three response frame types. False on EOF / timeout / protocol error.
+  // Blocks until one whole type-2 response is available. False on EOF /
+  // timeout / any other frame.
   bool next_response(wire::ResponseFrame& out) {
     std::uint8_t chunk[8192];
     for (;;) {
-      if (!ready_.empty()) {
-        out = std::move(ready_.front());
-        ready_.pop_front();
+      std::size_t consumed = 0;
+      const auto st =
+          wire::decode_response(buf_.data(), buf_.size(), out, consumed);
+      if (st == wire::DecodeStatus::kOk) {
+        buf_.erase(buf_.begin(),
+                   buf_.begin() + static_cast<std::ptrdiff_t>(consumed));
         return true;
       }
-      std::uint8_t type = 0;
-      const auto pt = wire::peek_type(buf_.data(), buf_.size(), type);
-      if (pt == wire::DecodeStatus::kOk && drain_one_frame(type)) {
-        continue;
-      }
-      if (pt != wire::DecodeStatus::kOk &&
-          pt != wire::DecodeStatus::kNeedMoreData) {
-        ADD_FAILURE() << "stream desync: " << wire::to_string(pt);
+      if (st != wire::DecodeStatus::kNeedMoreData) {
+        ADD_FAILURE() << "bad response frame: " << wire::to_string(st);
         return false;
       }
       const ssize_t k = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -212,81 +208,15 @@ class TestClient {
     }
   }
 
-  [[nodiscard]] std::size_t batched_frames_seen() const {
-    return batched_frames_seen_;
-  }
-  [[nodiscard]] std::size_t chunk_frames_seen() const {
-    return chunk_frames_seen_;
-  }
-
  private:
-  // Decodes the complete frame at the buffer front, if any. Returns
-  // true when bytes were consumed (a chunk may complete no response
-  // yet; the caller just loops).
-  bool drain_one_frame(std::uint8_t type) {
-    std::size_t consumed = 0;
-    if (type == wire::kTypeResponse) {
-      wire::ResponseFrame r;
-      const auto st =
-          wire::decode_response(buf_.data(), buf_.size(), r, consumed);
-      if (st == wire::DecodeStatus::kNeedMoreData) {
-        return false;
-      }
-      EXPECT_EQ(st, wire::DecodeStatus::kOk);
-      if (st == wire::DecodeStatus::kOk) {
-        ready_.push_back(std::move(r));
-      }
-    } else if (type == wire::kTypeResponseBatch) {
-      std::vector<wire::ResponseFrame> rs;
-      const auto st = wire::decode_response_batch(buf_.data(), buf_.size(),
-                                                  rs, consumed);
-      if (st == wire::DecodeStatus::kNeedMoreData) {
-        return false;
-      }
-      EXPECT_EQ(st, wire::DecodeStatus::kOk);
-      ++batched_frames_seen_;
-      for (auto& r : rs) {
-        ready_.push_back(std::move(r));
-      }
-    } else if (type == wire::kTypeResponseChunk) {
-      wire::ChunkFrame c;
-      const auto st = wire::decode_response_chunk(buf_.data(), buf_.size(),
-                                                  c, consumed);
-      if (st == wire::DecodeStatus::kNeedMoreData) {
-        return false;
-      }
-      EXPECT_EQ(st, wire::DecodeStatus::kOk);
-      ++chunk_frames_seen_;
-      EXPECT_TRUE(assembler_.feed(c));
-      for (auto& r : assembler_.take_ready()) {
-        ready_.push_back(std::move(r));
-      }
-    } else {
-      ADD_FAILURE() << "unexpected frame type " << int{type};
-      return false;
-    }
-    if (consumed > 0) {
-      buf_.erase(buf_.begin(),
-                 buf_.begin() + static_cast<std::ptrdiff_t>(consumed));
-      return true;
-    }
-    return false;
-  }
-
   int fd_ = -1;
   std::vector<std::uint8_t> buf_;
-  std::deque<wire::ResponseFrame> ready_;
-  wire::ChunkAssembler assembler_;
-  std::size_t batched_frames_seen_ = 0;
-  std::size_t chunk_frames_seen_ = 0;
 };
 
-wire::RequestFrame make_request(std::uint64_t id, const Tensor& payload,
-                                std::uint8_t flags = 0) {
+wire::RequestFrame make_request(std::uint64_t id, const Tensor& payload) {
   wire::RequestFrame req;
   req.request_id = id;
   req.cls = DeadlineClass::kBatch;
-  req.flags = flags;
   req.deadline_us = kLongDeadlineUs;
   req.model_id = "echo";
   req.tensor = payload;
@@ -490,80 +420,6 @@ TEST(TcpFrontend, WriteStallTimeoutKillsStuckClient) {
   EXPECT_TRUE(wait_until([&] { return frontend.open_connections() == 0; }));
 }
 
-// ------------------------------------------------- batched / streaming --
-
-TEST(TcpFrontend, BatchCapableClientGetsEveryPipelinedResponse) {
-  Gateway gw;
-  ModelConfig mcfg;
-  mcfg.server.max_batch = 16;
-  mcfg.server.batching_window_us = 2000;
-  gw.register_model("echo", echo_handler(), mcfg);
-  TcpFrontend frontend(gw);
-
-  constexpr std::size_t kInFlight = 16;
-  TestClient client(frontend.port());
-  for (std::size_t i = 0; i < kInFlight; ++i) {
-    Tensor t({3});
-    t[0] = static_cast<double>(i);
-    t[1] = 2.0 * static_cast<double>(i);
-    t[2] = -1.0;
-    ASSERT_TRUE(client.send_bytes(wire::encode_request(
-        make_request(500 + i, t, wire::kFlagAcceptBatch))));
-  }
-  std::map<std::uint64_t, wire::ResponseFrame> by_id;
-  for (std::size_t i = 0; i < kInFlight; ++i) {
-    wire::ResponseFrame resp;
-    ASSERT_TRUE(client.next_response(resp));
-    EXPECT_EQ(resp.status, Status::kOk);
-    by_id[resp.request_id] = std::move(resp);
-  }
-  ASSERT_EQ(by_id.size(), kInFlight);
-  for (std::size_t i = 0; i < kInFlight; ++i) {
-    const auto it = by_id.find(500 + i);
-    ASSERT_NE(it, by_id.end());
-    ASSERT_EQ(it->second.tensor.size(), 3u);
-    EXPECT_EQ(it->second.tensor[0], static_cast<double>(i));
-  }
-  // Whether responses coalesced into type-3 frames is timing-dependent
-  // (the flusher batches whatever is queued when the loop wakes); the
-  // wire-level round trip of the batch encoding is pinned by the Wire
-  // unit tests below. Consistency check only:
-  EXPECT_EQ(frontend.stats().batched_frames > 0,
-            client.batched_frames_seen() > 0);
-}
-
-TEST(TcpFrontend, ChunkedStreamingResponseReassemblesByteIdentically) {
-  constexpr std::size_t kDim = 4096;  // 32 KiB payload
-  Gateway gw;
-  gw.register_model("echo", echo_handler());
-  TcpFrontendConfig fcfg;
-  fcfg.stream_chunk_bytes = 4096;  // force 8 chunks
-  TcpFrontend frontend(gw, fcfg);
-
-  Rng rng(77);
-  const Tensor payload = Tensor::random_uniform({kDim}, 1.0, rng);
-  const Result want = gw.submit("echo", payload, DeadlineClass::kBatch,
-                                kLongDeadlineUs)
-                          .get();
-  ASSERT_EQ(want.status, Status::kOk);
-
-  TestClient client(frontend.port());
-  ASSERT_TRUE(client.send_bytes(wire::encode_request(
-      make_request(4242, payload, wire::kFlagAcceptStream))));
-  wire::ResponseFrame resp;
-  ASSERT_TRUE(client.next_response(resp));
-  EXPECT_EQ(resp.status, Status::kOk);
-  EXPECT_EQ(resp.request_id, 4242u);
-  ASSERT_EQ(resp.tensor.size(), want.output.size());
-  for (std::size_t k = 0; k < want.output.size(); ++k) {
-    EXPECT_EQ(resp.tensor[k], want.output[k]);  // byte-identical
-  }
-  EXPECT_GE(client.chunk_frames_seen(), 8u);
-  // Counted on the worker thread right after the enqueue: poll.
-  EXPECT_TRUE(
-      wait_until([&] { return frontend.stats().chunked_responses == 1; }));
-}
-
 // ------------------------------------------------------------ shutdown --
 
 TEST(TcpFrontend, GracefulShutdownFailsQueuedResponsesAndCloses) {
@@ -603,133 +459,58 @@ TEST(TcpFrontend, GracefulShutdownFailsQueuedResponsesAndCloses) {
 
 // ----------------------------------------------------------- wire unit --
 
-TEST(Wire, RequestFlagsRoundTrip) {
+// Body byte 7 of a request is reserved: the encoder writes 0 there and
+// the decoder ignores whatever a peer sends in it.
+TEST(Wire, RequestReservedByteIsIgnored) {
   Rng rng(5);
   wire::RequestFrame req;
   req.request_id = 11;
+  req.cls = DeadlineClass::kBatch;
+  req.deadline_us = 777;
   req.model_id = "m";
-  req.flags = wire::kFlagAcceptBatch | wire::kFlagAcceptStream;
   req.tensor = Tensor::random_uniform({3}, 1.0, rng);
-  const auto bytes = wire::encode_request(req);
+  auto bytes = wire::encode_request(req);
+  constexpr std::size_t kReserved = 4 + 7;  // length prefix + body byte 7
+  EXPECT_EQ(bytes[kReserved], 0u);
+
+  bytes[kReserved] = 0x03;
   wire::RequestFrame out;
   std::size_t consumed = 0;
   ASSERT_EQ(wire::decode_request(bytes.data(), bytes.size(), out, consumed),
             wire::DecodeStatus::kOk);
-  EXPECT_EQ(out.flags, req.flags);
+  EXPECT_EQ(consumed, bytes.size());
+  EXPECT_EQ(out.request_id, req.request_id);
+  EXPECT_EQ(out.cls, req.cls);
+  EXPECT_EQ(out.deadline_us, req.deadline_us);
+  EXPECT_EQ(out.model_id, req.model_id);
+  ASSERT_EQ(out.tensor.shape(), req.tensor.shape());
+  for (std::size_t k = 0; k < req.tensor.size(); ++k) {
+    EXPECT_EQ(out.tensor[k], req.tensor[k]);
+  }
 }
 
-TEST(Wire, BatchedResponseFrameRoundTrips) {
-  Rng rng(6);
-  std::vector<wire::ResponseFrame> in(3);
-  std::vector<std::vector<std::uint8_t>> bodies;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    in[i].request_id = 70 + i;
-    in[i].status = i == 1 ? Status::kRejected : Status::kOk;
-    in[i].queue_us = 1.5 * static_cast<double>(i);
-    in[i].total_us = 9.25;
-    if (in[i].status == Status::kOk) {
-      in[i].tensor = Tensor::random_uniform({5}, 1.0, rng);
-    }
-    bodies.push_back(wire::encode_response_body(in[i]));
-  }
-  const auto frame = wire::encode_response_batch(bodies);
-  std::uint8_t type = 0;
-  ASSERT_EQ(wire::peek_type(frame.data(), frame.size(), type),
-            wire::DecodeStatus::kOk);
-  EXPECT_EQ(type, wire::kTypeResponseBatch);
-
-  // Every strict prefix: need-more-data, never a crash or bogus ok.
-  std::vector<wire::ResponseFrame> out;
-  std::size_t consumed = 0;
-  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
-    ASSERT_EQ(
-        wire::decode_response_batch(frame.data(), cut, out, consumed),
-        wire::DecodeStatus::kNeedMoreData)
-        << "cut " << cut;
-  }
-  ASSERT_EQ(
-      wire::decode_response_batch(frame.data(), frame.size(), out,
-                                  consumed),
-      wire::DecodeStatus::kOk);
-  EXPECT_EQ(consumed, frame.size());
-  ASSERT_EQ(out.size(), in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    EXPECT_EQ(out[i].request_id, in[i].request_id);
-    EXPECT_EQ(out[i].status, in[i].status);
-    EXPECT_EQ(out[i].queue_us, in[i].queue_us);
-    ASSERT_EQ(out[i].tensor.size(), in[i].tensor.size());
-    for (std::size_t k = 0; k < in[i].tensor.size(); ++k) {
-      EXPECT_EQ(out[i].tensor[k], in[i].tensor[k]);
-    }
-  }
-
-  // A truncated member entry must be kMalformed, not trusted.
-  auto bad = frame;
-  bad[12] = 255;  // count low byte: claims more entries than present
-  EXPECT_EQ(wire::decode_response_batch(bad.data(), bad.size(), out,
-                                        consumed),
-            wire::DecodeStatus::kMalformed);
-}
-
-TEST(Wire, ChunkedResponseRoundTripsThroughAssembler) {
-  Rng rng(8);
+// The frame cap holds exactly at its boundary: a response body of
+// kMaxFrameBytes - 3 bytes (37 header bytes + 2,097,147 doubles) encodes,
+// and one more double throws instead of writing a wrong length prefix.
+TEST(Wire, ResponseEncodeEnforcesTheFrameCapAtItsBoundary) {
+  constexpr std::size_t kHeader = 4 + 1 + 1 + 1 + 1 + 8 + 8 + 8 + 1 + 4;
+  constexpr std::size_t kFits = 2'097'147;
+  static_assert(kHeader + 8 * kFits == 16'777'213);
+  static_assert(kHeader + 8 * (kFits + 1) > wire::kMaxFrameBytes);
   wire::ResponseFrame resp;
-  resp.request_id = 321;
+  resp.request_id = 9;
   resp.status = Status::kOk;
-  resp.queue_us = 12.0;
-  resp.total_us = 99.5;
-  resp.tensor = Tensor::random_uniform({2, 100}, 1.0, rng);  // 1600 bytes
-
-  const auto frames = wire::encode_response_chunks(resp, 256);
-  ASSERT_GE(frames.size(), 6u);  // 1600 / 256 = 6.25 -> 7 chunks
-  wire::ChunkAssembler assembler;
-  std::vector<wire::ResponseFrame> done;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    std::uint8_t type = 0;
-    ASSERT_EQ(
-        wire::peek_type(frames[i].data(), frames[i].size(), type),
-        wire::DecodeStatus::kOk);
-    EXPECT_EQ(type, wire::kTypeResponseChunk);
-    wire::ChunkFrame c;
-    std::size_t consumed = 0;
-    ASSERT_EQ(wire::decode_response_chunk(frames[i].data(),
-                                          frames[i].size(), c, consumed),
-              wire::DecodeStatus::kOk);
-    EXPECT_EQ(consumed, frames[i].size());
-    EXPECT_EQ(c.seq, i);
-    EXPECT_EQ(c.last, i + 1 == frames.size());
-    ASSERT_TRUE(assembler.feed(c));
-    for (auto& r : assembler.take_ready()) {
-      done.push_back(std::move(r));
-    }
-  }
-  EXPECT_EQ(assembler.pending(), 0u);
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0].request_id, resp.request_id);
-  EXPECT_EQ(done[0].status, Status::kOk);
-  EXPECT_EQ(done[0].queue_us, resp.queue_us);
-  EXPECT_EQ(done[0].total_us, resp.total_us);
-  ASSERT_EQ(done[0].tensor.rank(), 2u);
-  EXPECT_EQ(done[0].tensor.dim(0), 2u);
-  EXPECT_EQ(done[0].tensor.dim(1), 100u);
-  for (std::size_t k = 0; k < resp.tensor.size(); ++k) {
-    EXPECT_EQ(done[0].tensor[k], resp.tensor[k]);  // byte-identical
-  }
-
-  // Out-of-sequence delivery is a protocol violation: the stream drops.
-  wire::ChunkAssembler strict;
-  wire::ChunkFrame c0;
-  wire::ChunkFrame c2;
+  resp.tensor = Tensor({kFits});
+  const auto frame = wire::encode_response(resp);
+  ASSERT_EQ(frame.size(), 4 + kHeader + 8 * kFits);
+  wire::ResponseFrame out;
   std::size_t consumed = 0;
-  ASSERT_EQ(wire::decode_response_chunk(frames[0].data(), frames[0].size(),
-                                        c0, consumed),
+  ASSERT_EQ(wire::decode_response(frame.data(), frame.size(), out, consumed),
             wire::DecodeStatus::kOk);
-  ASSERT_EQ(wire::decode_response_chunk(frames[2].data(), frames[2].size(),
-                                        c2, consumed),
-            wire::DecodeStatus::kOk);
-  EXPECT_TRUE(strict.feed(c0));
-  EXPECT_FALSE(strict.feed(c2));  // skipped seq 1
-  EXPECT_EQ(strict.pending(), 0u);
+  EXPECT_EQ(out.tensor.size(), kFits);
+
+  resp.tensor = Tensor({kFits + 1});
+  EXPECT_THROW((void)wire::encode_response(resp), Error);
 }
 
 TEST(Wire, PingFrameRoundTripsAndRejectsTruncation) {
@@ -969,8 +750,8 @@ TEST(Wire, ModelAdminFramesRoundTripAndRejectTruncation) {
 // ------------------------------------------------------- control frames --
 
 // Raw frame-level client: unlike TestClient it hands back WHOLE frames
-// of any type, so tests can watch control traffic (types 5/6) that the
-// response demultiplexer would reject.
+// of any type, so tests can watch control traffic (types 5/6) and the
+// exact frames a response arrives in.
 class RawFrameClient {
  public:
   explicit RawFrameClient(std::uint16_t port) : tc_(port) {}
@@ -1206,6 +987,79 @@ TEST(TcpFrontend, ModelAdminLoadServeListUnloadOverTheSocket) {
 
   EXPECT_EQ(frontend.stats().admin_requests, 5u);
   std::filesystem::remove_all(dir);
+}
+
+// --------------------------------------------------- one response frame --
+
+// A peer that sets bits in the request's reserved byte (0x02 once asked
+// for a chunked stream) gets a 320 KB output back as ONE type-2 frame,
+// byte-identical to the in-process answer.
+TEST(TcpFrontend, ReservedRequestBitsStillGetOneWholeResponseFrame) {
+  constexpr std::size_t kDim = 40'000;  // 320,000 payload bytes > 256 KiB
+  Gateway gw;
+  gw.register_model("echo", echo_handler());
+  TcpFrontend frontend(gw);
+
+  Rng rng(77);
+  const Tensor payload = Tensor::random_uniform({kDim}, 1.0, rng);
+  const Result want = gw.submit("echo", payload, DeadlineClass::kBatch,
+                                kLongDeadlineUs)
+                          .get();
+  ASSERT_EQ(want.status, Status::kOk);
+
+  RawFrameClient client(frontend.port());
+  auto request = wire::encode_request(make_request(4242, payload));
+  request[4 + 7] = 0x02;  // length prefix + body byte 7 (reserved)
+  ASSERT_TRUE(client.send_bytes(request));
+  std::uint8_t type = 0;
+  std::vector<std::uint8_t> frame;
+  ASSERT_TRUE(client.next_frame(type, frame));
+  ASSERT_EQ(type, wire::kTypeResponse);
+  wire::ResponseFrame resp;
+  std::size_t consumed = 0;
+  ASSERT_EQ(wire::decode_response(frame.data(), frame.size(), resp, consumed),
+            wire::DecodeStatus::kOk);
+  EXPECT_EQ(resp.status, Status::kOk);
+  EXPECT_EQ(resp.request_id, 4242u);
+  ASSERT_EQ(resp.tensor.shape(), want.output.shape());
+  for (std::size_t k = 0; k < want.output.size(); ++k) {
+    EXPECT_EQ(resp.tensor[k], want.output[k]);  // byte-identical
+  }
+  // That one frame is everything the frontend sent. Both counters land
+  // just after the bytes the client already read: poll.
+  EXPECT_TRUE(wait_until([&] { return frontend.stats().responses == 1; }));
+  EXPECT_TRUE(wait_until(
+      [&] { return frontend.stats().bytes_written == frame.size(); }));
+}
+
+// An output the wire cannot carry (one double over kMaxFrameBytes) comes
+// back as an id-matched kInternalError with no payload, and the same
+// connection serves the next request normally.
+TEST(TcpFrontend, OversizeOutputDegradesToInternalErrorAndConnectionSurvives) {
+  Gateway gw;
+  gw.register_model("big", big_output_handler(wire::kMaxFrameBytes / 8 + 1));
+  gw.register_model("echo", echo_handler());
+  TcpFrontend frontend(gw);
+  TestClient client(frontend.port());
+
+  Tensor tiny({1});
+  tiny[0] = 1.5;
+  wire::RequestFrame big = make_request(7, tiny);
+  big.model_id = "big";
+  ASSERT_TRUE(client.send_bytes(wire::encode_request(big)));
+  wire::ResponseFrame resp;
+  ASSERT_TRUE(client.next_response(resp));
+  EXPECT_EQ(resp.request_id, 7u);
+  EXPECT_EQ(resp.status, Status::kInternalError);
+  EXPECT_EQ(resp.tensor.size(), 0u);
+
+  ASSERT_TRUE(client.send_bytes(wire::encode_request(make_request(8, tiny))));
+  ASSERT_TRUE(client.next_response(resp));
+  EXPECT_EQ(resp.request_id, 8u);
+  EXPECT_EQ(resp.status, Status::kOk);
+  ASSERT_EQ(resp.tensor.size(), 1u);
+  EXPECT_EQ(resp.tensor[0], 1.5);
+  EXPECT_EQ(frontend.stats().malformed, 0u);
 }
 
 }  // namespace
