@@ -11,6 +11,15 @@
 
 namespace eb::bnn {
 
+namespace {
+
+// Samples per pool task for the element-wise epilogue layers: their
+// per-sample work is a few hundred compares, so one sample per task
+// would be mostly task overhead.
+constexpr std::size_t kEpilogueGrain = 8;
+
+}  // namespace
+
 std::vector<Tensor> Layer::forward_batch(std::span<const Tensor> xs,
                                          ThreadPool& pool) const {
   std::vector<Tensor> out(xs.size());
@@ -506,6 +515,10 @@ BatchNormLayer::BatchNormLayer(std::string name, std::vector<double> gamma,
                  gamma_.size() == var_.size(),
              "batchnorm parameter sizes must match");
   EB_REQUIRE(!gamma_.empty(), "batchnorm needs at least one channel");
+  stddev_.reserve(var_.size());
+  for (const double v : var_) {
+    stddev_.push_back(std::sqrt(v + eps_));
+  }
 }
 
 BatchNormLayer BatchNormLayer::identity(std::string name,
@@ -522,8 +535,7 @@ Tensor BatchNormLayer::forward(const Tensor& x) const {
   if (x.rank() == 1) {
     EB_REQUIRE(x.size() == ch, "batchnorm feature mismatch in " + name_);
     for (std::size_t c = 0; c < ch; ++c) {
-      y[c] = gamma_[c] * (x[c] - mean_[c]) / std::sqrt(var_[c] + eps_) +
-             beta_[c];
+      y[c] = gamma_[c] * (x[c] - mean_[c]) / stddev_[c] + beta_[c];
     }
     return y;
   }
@@ -531,7 +543,7 @@ Tensor BatchNormLayer::forward(const Tensor& x) const {
              "batchnorm expects [C,H,W] or [F] in " + name_);
   const std::size_t hw = x.dim(1) * x.dim(2);
   for (std::size_t c = 0; c < ch; ++c) {
-    const double scale = gamma_[c] / std::sqrt(var_[c] + eps_);
+    const double scale = gamma_[c] / stddev_[c];
     for (std::size_t i = 0; i < hw; ++i) {
       y[c * hw + i] = scale * (x[c * hw + i] - mean_[c]) + beta_[c];
     }
@@ -559,7 +571,7 @@ ThresholdFold BatchNormLayer::fold_to_thresholds() const {
     // sign(gamma*(x-mean)/sqrt(var+eps)+beta) == sign(x - thr) for
     // gamma > 0; for gamma < 0 the affine map is decreasing, so the
     // comparison direction flips: +1 iff x <= thr.
-    fold.thr[c] = mean_[c] - beta_[c] * std::sqrt(var_[c] + eps_) / gamma_[c];
+    fold.thr[c] = mean_[c] - beta_[c] * stddev_[c] / gamma_[c];
     fold.flip[c] = gamma_[c] < 0.0 ? 1 : 0;
   }
   return fold;
@@ -569,9 +581,9 @@ double BatchNormLayer::apply_channel(std::size_t c, double x,
                                      std::size_t rank) const {
   EB_ASSERT(c < gamma_.size(), "batchnorm channel out of range");
   if (rank == 1) {
-    return gamma_[c] * (x - mean_[c]) / std::sqrt(var_[c] + eps_) + beta_[c];
+    return gamma_[c] * (x - mean_[c]) / stddev_[c] + beta_[c];
   }
-  const double scale = gamma_[c] / std::sqrt(var_[c] + eps_);
+  const double scale = gamma_[c] / stddev_[c];
   return scale * (x - mean_[c]) + beta_[c];
 }
 
@@ -594,6 +606,23 @@ Tensor SignLayer::forward(const Tensor& x) const {
     y[i] = sign_pm1(y[i]);
   }
   return y;
+}
+
+std::vector<Tensor> SignLayer::forward_batch(std::span<const Tensor> xs,
+                                             ThreadPool& pool) const {
+  std::vector<Tensor> out(xs.size());
+  pool.parallel_for(0, xs.size(), kEpilogueGrain,
+                    [&](std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        const Tensor& x = xs[i];
+                        std::vector<double> y(x.size());
+                        for (std::size_t k = 0; k < y.size(); ++k) {
+                          y[k] = sign_pm1(x[k]);
+                        }
+                        out[i] = Tensor(x.shape(), std::move(y));
+                      }
+                    });
+  return out;
 }
 
 LayerSpec SignLayer::spec() const {
@@ -643,6 +672,38 @@ Tensor ThresholdLayer::forward(const Tensor& x) const {
     }
   }
   return y;
+}
+
+std::vector<Tensor> ThresholdLayer::forward_batch(std::span<const Tensor> xs,
+                                                  ThreadPool& pool) const {
+  const std::size_t ch = thr_.size();
+  std::vector<Tensor> out(xs.size());
+  pool.parallel_for(
+      0, xs.size(), kEpilogueGrain, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const Tensor& x = xs[i];
+          EB_REQUIRE((x.rank() == 1 && x.size() == ch) ||
+                         (x.rank() == 3 && x.dim(0) == ch),
+                     "threshold expects [C,H,W] or [F] in " + name_);
+          std::vector<double> y(x.size());
+          if (x.rank() == 1) {
+            for (std::size_t c = 0; c < ch; ++c) {
+              y[c] = scale_d_[c] * x[c] >= bound_d_[c] ? 1.0 : -1.0;
+            }
+          } else {
+            const std::size_t hw = x.size() / ch;
+            for (std::size_t c = 0; c < ch; ++c) {
+              const double s = scale_d_[c];
+              const double b = bound_d_[c];
+              for (std::size_t j = 0; j < hw; ++j) {
+                y[c * hw + j] = s * x[c * hw + j] >= b ? 1.0 : -1.0;
+              }
+            }
+          }
+          out[i] = Tensor(x.shape(), std::move(y));
+        }
+      });
+  return out;
 }
 
 LayerSpec ThresholdLayer::spec() const {

@@ -235,6 +235,9 @@ class BatchNormLayer final : public Layer {
   std::vector<double> mean_;
   std::vector<double> var_;
   double eps_;
+  // sqrt(var_[c] + eps_) per channel, computed once at construction;
+  // forward(), apply_channel() and fold_to_thresholds() divide by it.
+  std::vector<double> stddev_;
 };
 
 // Element-wise sign into {-1,+1}.
@@ -243,6 +246,10 @@ class SignLayer final : public Layer {
   explicit SignLayer(std::string name, std::size_t features = 0);
 
   [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  // Builds each output once (no copy-then-overwrite), several samples per
+  // pool task; bit-identical to forward().
+  [[nodiscard]] std::vector<Tensor> forward_batch(
+      std::span<const Tensor> xs, ThreadPool& pool) const override;
   [[nodiscard]] LayerSpec spec() const override;
   [[nodiscard]] std::string name() const override { return name_; }
 
@@ -267,6 +274,10 @@ class ThresholdLayer final : public Layer {
                  std::vector<std::uint8_t> flip);
 
   [[nodiscard]] Tensor forward(const Tensor& x) const override;
+  // Builds each output once (no copy-then-overwrite), several samples per
+  // pool task; bit-identical to forward().
+  [[nodiscard]] std::vector<Tensor> forward_batch(
+      std::span<const Tensor> xs, ThreadPool& pool) const override;
   [[nodiscard]] LayerSpec spec() const override;
   [[nodiscard]] std::string name() const override { return name_; }
 

@@ -59,6 +59,9 @@ struct Gateway::ModelEntry {
   std::shared_ptr<const bnn::Network> owned_net;
   std::unique_ptr<Server> server;
   std::array<std::size_t, kNumClasses> slots{};
+  /// Requests a pump popped for this server but has not yet forwarded;
+  /// they count against its queue capacity. Guarded by Gateway::mu_.
+  std::size_t forwarding = 0;
 };
 
 Gateway::Gateway(GatewayConfig cfg)
@@ -68,7 +71,6 @@ Gateway::Gateway(GatewayConfig cfg)
     EB_REQUIRE(cfg_.classes[c].queue_capacity >= 1,
                "class queue capacity must be >= 1");
   }
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 Gateway::~Gateway() { shutdown(); }
@@ -139,7 +141,7 @@ void Gateway::install_entry(
              "model id must be 1..255 bytes");
   EB_REQUIRE(mcfg.weight > 0.0, "model weight must be > 0");
   ServerConfig scfg = mcfg.server;
-  scfg.on_dequeue = [this] { cv_.notify_all(); };
+  scfg.on_dequeue = [this] { pump(); };  // capacity freed: top it up
   if (scfg.clock == nullptr) {
     // Model servers tick on the gateway's clock unless a registration
     // injects its own: one VirtualClock drives admission deadlines AND
@@ -193,6 +195,7 @@ bool Gateway::unregister_model(const std::string& id) {
       }
     }
   }
+  cv_.notify_all();  // a shutdown() may be waiting for the queues to empty
   // Admission-queue stragglers: the model is gone before they were
   // dispatched; reject them (outside the lock -- callbacks are user code).
   for (auto& r : orphans) {
@@ -270,7 +273,7 @@ void Gateway::submit_async(const std::string& model, bnn::Tensor input,
   }
   if (accepted) {
     class_metrics_[c].record_submitted(depth_after);
-    cv_.notify_all();
+    pump();
   } else {
     // Unknown model, wrong request shape, class partition full, or
     // draining: terminal status, delivered inline.
@@ -280,41 +283,37 @@ void Gateway::submit_async(const std::string& model, bnn::Tensor input,
   }
 }
 
-void Gateway::dispatcher_loop() {
+void Gateway::pump() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    GwPending item;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (;;) {
-        if (drr_.total_size() == 0) {
-          if (draining_) {
-            return;
-          }
-          cv_.wait(lock, [this] {
-            return draining_ || drr_.total_size() != 0;
-          });
-          if (draining_ && drr_.total_size() == 0) {
-            return;
-          }
-        }
-        auto popped = drr_.pop_next([this](std::size_t h) {
-          const auto& e = slot_entry_[h];
-          return e != nullptr && e->server->queue_depth() <
-                                     e->server->config().queue_capacity;
-        });
-        if (popped.has_value()) {
-          item = std::move(popped->second);
-          const std::size_t c = class_index(item.cls);
-          EB_ASSERT(class_depth_[c] > 0, "class depth accounting underflow");
-          --class_depth_[c];
-          break;
-        }
-        // Backlog exists but every target server is at capacity: wait for
-        // an on_dequeue notification (1 ms backstop against lost wakeups).
-        cv_.wait_for(lock, std::chrono::milliseconds(1));
-      }
+    auto popped = drr_.pop_next([this](std::size_t h) {
+      const auto& e = slot_entry_[h];
+      return e != nullptr && e->server->queue_depth() + e->forwarding <
+                                 e->server->config().queue_capacity;
+    });
+    if (!popped.has_value()) {
+      // Empty, or every backlogged server is at capacity: the next
+      // on_dequeue of such a server pumps again.
+      return;
     }
+    GwPending item = std::move(popped->second);
+    const std::size_t c = class_index(item.cls);
+    EB_ASSERT(class_depth_[c] > 0, "class depth accounting underflow");
+    --class_depth_[c];
+    const std::shared_ptr<ModelEntry> entry = item.entry;
+    ++entry->forwarding;
+    ++forwarding_;
+    lock.unlock();
     forward(std::move(item));
+    lock.lock();
+    // If unregister_model() raced this forward, `entry` may now hold the
+    // model's last reference and free it under mu_; that server was
+    // already shut down there, so its destructor joins nothing.
+    --entry->forwarding;
+    --forwarding_;
+    if (draining_ && forwarding_ == 0 && drr_.total_size() == 0) {
+      cv_.notify_all();  // shutdown() waits for the backlog to be forwarded
+    }
   }
 }
 
@@ -374,15 +373,17 @@ void Gateway::finish(DeadlineClass cls, Completion& done, Result res) {
 
 void Gateway::shutdown() {
   {
-    const std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     draining_ = true;
+    // Admissions are closed; the pumps that server dequeues run keep
+    // forwarding the backlog until it is gone.
+    cv_.wait(lock,
+             [this] { return drr_.total_size() == 0 && forwarding_ == 0; });
   }
-  cv_.notify_all();
   const std::lock_guard<std::mutex> join_lock(join_mu_);
   if (joined_) {
     return;
   }
-  dispatcher_.join();  // exits once every admission queue is drained
   std::vector<std::shared_ptr<ModelEntry>> entries;
   {
     const std::lock_guard<std::mutex> lock(mu_);

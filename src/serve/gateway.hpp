@@ -10,10 +10,10 @@
 ///     submit("mlp-a", x, kInteractive) ─┐   per-(model, class)      model
 ///     submit("mlp-b", x, kBatch) ───────┼─> admission queues ──┐   servers
 ///     TcpFrontend (wire frames) ────────┘   weighted-deficit   │  ┌───────┐
-///                                           round-robin        ├─>│ mlp-a │─┐
-///                                           dispatcher ────────┤  ├───────┤ ├─> ONE
-///                                           (3:1 under         └─>│ mlp-b │─┘  shared
-///                                            saturation)          └───────┘  ThreadPool
+///                                           round-robin pump ──┼─>│ mlp-a │─┐
+///                                           (on admission and  │  ├───────┤ ├─> ONE
+///                                            on every server   └─>│ mlp-b │─┘  shared
+///                                            dequeue)             └───────┘  ThreadPool
 ///
 ///  * **Registry** -- register_model(id, ...) accepts a bnn::Network, any
 ///    serve::BatchHandler, or a map::MappedExecutor (adapted via
@@ -26,10 +26,11 @@
 ///  * **Weighted admission** -- requests are admitted under a
 ///    DeadlineClass (interactive | batch | besteffort) into per-(model,
 ///    class) FIFO queues, each bounded by the class's capacity partition.
-///    A dispatcher thread drains them with deficit round-robin at weight
-///    `model.weight x class.weight`, forwarding into a model's server only
-///    while that server has queue capacity (the server's on_dequeue hook
-///    wakes the dispatcher when capacity frees). Under saturation the
+///    Every admission and every server's on_dequeue hook runs one pump,
+///    which pops the queues with deficit round-robin at weight
+///    `model.weight x class.weight` and forwards into a model's server
+///    only while that server has queue capacity (requests popped but not
+///    yet forwarded count against it). Under saturation the
 ///    admitted-throughput ratio between two queues matches their weight
 ///    ratio. Requests without an explicit deadline inherit their class
 ///    default; deadlines are end-to-end from gateway admission.
@@ -53,7 +54,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bnn/network.hpp"
@@ -83,7 +83,7 @@ struct ModelConfig {
   /// queue_capacity shallow (see default_model_server_config()).
   ServerConfig server = default_model_server_config();
   /// Scheduling weight multiplier (> 0): the model's (model, class) queue
-  /// weighs model.weight x class.weight in the dispatcher.
+  /// weighs model.weight x class.weight in the DRR pump.
   double weight = 1.0;
   /// Expected request tensor element count; a mismatching submission is
   /// rejected at admission with kInvalidArgument instead of reaching a
@@ -208,15 +208,18 @@ class Gateway {
                              DeadlineClass cls = DeadlineClass::kInteractive,
                              std::uint64_t deadline_us = 0);
   /// Callback flavor (the wire frontend's path): `done` runs exactly once
-  /// with the terminal Result -- inline when rejected at admission, from a
-  /// serving thread otherwise.
+  /// with the terminal Result. It may run inline on the calling thread
+  /// (rejected at admission, or forwarded by this call's pump with its
+  /// deadline already past), on a model-server worker, or on another
+  /// submitter's thread whose pump forwarded it; callbacks must not
+  /// assume which.
   void submit_async(const std::string& model, bnn::Tensor input,
                     DeadlineClass cls, std::uint64_t deadline_us,
                     Completion done);
 
-  /// Stops admissions, drains every admission queue and every model
-  /// server (all accepted requests fulfilled), joins the dispatcher.
-  /// Idempotent; called by the destructor.
+  /// Stops admissions, waits until the pumps have forwarded every
+  /// admission queue, then drains every model server (all accepted
+  /// requests fulfilled). Idempotent; called by the destructor.
   void shutdown();
 
   /// Consistent cut of per-class, per-model and aggregate metrics.
@@ -255,7 +258,10 @@ class Gateway {
       const std::function<std::unique_ptr<Server>(const ServerConfig&)>&
           make_server,
       std::shared_ptr<const bnn::Network> owned = nullptr);
-  void dispatcher_loop();
+  // Forwards admission-queue items into model servers with capacity,
+  // until none is eligible. Runs on every admission and every server
+  // dequeue; takes mu_ and forwards outside it.
+  void pump();
   void forward(GwPending item);
   void finish(DeadlineClass cls, Completion& done, Result res);
 
@@ -268,6 +274,7 @@ class Gateway {
   std::map<std::string, std::shared_ptr<ModelEntry>> models_;
   std::vector<std::shared_ptr<ModelEntry>> slot_entry_;  // DRR handle -> model
   std::array<std::size_t, kNumClasses> class_depth_{};
+  std::size_t forwarding_ = 0;  // popped by a pump, not yet forwarded
   bool draining_ = false;
 
   std::array<Metrics, kNumClasses> class_metrics_;
@@ -279,7 +286,6 @@ class Gateway {
   std::atomic<std::size_t> rewrites_{0};
   std::atomic<std::uint64_t> rewrite_us_last_{0};
 
-  std::thread dispatcher_;
   std::mutex join_mu_;  // serializes shutdown()
   bool joined_ = false;
 };

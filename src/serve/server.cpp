@@ -144,11 +144,7 @@ std::future<Result> Server::enqueue(bnn::Tensor input,
   }
   if (accepted) {
     metrics_.record_submitted(depth);
-    // notify_all, not notify_one: workers wait on cv_ under two different
-    // predicates (idle vs window wait_until), and a single token handed
-    // to the "wrong" one costs a window of latency. Worker counts are
-    // small, so the extra wakeups are noise next to the batch work.
-    cv_.notify_all();
+    wake_workers();
   } else {
     // Backpressure / post-shutdown: the caller still gets a fulfilled
     // future, just not an answer.
@@ -171,6 +167,18 @@ void Server::worker_loop(std::size_t worker_idx) {
   }
 }
 
+void Server::wake_workers() {
+  if (cfg_.batching_window_us.has_value()) {
+    // Window workers wait under two predicates (idle vs window
+    // wait_until), and a single token handed to the "wrong" one costs a
+    // window of latency. Worker counts are small, so the extra wakeups
+    // are noise next to the batch work.
+    cv_.notify_all();
+  } else {
+    cv_.notify_one();  // one predicate: any idle worker takes the batch
+  }
+}
+
 bool Server::form_batch(std::vector<Pending>& batch) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -178,42 +186,43 @@ bool Server::form_batch(std::vector<Pending>& batch) {
     if (queue_.empty()) {
       return false;  // draining and fully drained
     }
-    // The batch is anchored on the current oldest request; it closes at
-    // max_batch or when that request's window expires. Anything the front
-    // changes under us (another worker popped it) we just recompute.
-    const auto close =
-        queue_.front().enqueue +
-        std::chrono::microseconds(cfg_.batching_window_us);
-    std::size_t live = 0;
-    if (draining_) {
-      // Drain fast: no window waits, full batches.
-      live = std::min(queue_.size(), cfg_.max_batch);
-    } else {
+    // Work-conserving, and draining under either policy: take what is
+    // queued, full batches, no wait.
+    std::size_t live = std::min(queue_.size(), cfg_.max_batch);
+    if (cfg_.batching_window_us.has_value() && !draining_) {
+      // Fixed window: the batch is anchored on the current oldest
+      // request; it closes at max_batch or when that request's window
+      // expires. Anything the front changes under us (another worker
+      // popped it) we just recompute.
+      const auto close = queue_.front().enqueue +
+                         std::chrono::microseconds(*cfg_.batching_window_us);
       // Only requests that arrived within the window of the oldest member
       // join its batch (FIFO -> a queue prefix). Window 0 degenerates to
       // singleton batches: the no-coalescing baseline.
+      live = 0;
       while (live < queue_.size() && live < cfg_.max_batch &&
              queue_[live].enqueue <= close) {
         ++live;
       }
-    }
-    if (live >= cfg_.max_batch || draining_ || clk().now() >= close) {
-      batch.clear();
-      batch.reserve(live);
-      for (std::size_t i = 0; i < live; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+      if (live < cfg_.max_batch && clk().now() < close) {
+        // Under-full batch inside its window: sleep until the window
+        // closes or an arrival / drain notification re-evaluates the
+        // policy. The wait goes through the injected clock so a
+        // VirtualClock can expire the window without wall time passing.
+        clk().wait_until(lock, cv_, close);
+        continue;
       }
-      if (!queue_.empty()) {
-        cv_.notify_all();  // the remainder may already form the next batch
-      }
-      return true;
     }
-    // Under-full batch inside its window: sleep until the window closes or
-    // an arrival / drain notification re-evaluates the policy. The wait
-    // goes through the injected clock so a VirtualClock can expire the
-    // window without wall time passing.
-    clk().wait_until(lock, cv_, close);
+    batch.clear();
+    batch.reserve(live);
+    for (std::size_t i = 0; i < live; ++i) {
+      batch.push_back(std::move(queue_.front()));
+      queue_.pop_front();
+    }
+    if (!queue_.empty()) {
+      wake_workers();  // the remainder may already form the next batch
+    }
+    return true;
   }
 }
 

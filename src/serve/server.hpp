@@ -5,29 +5,33 @@
 /// sample vector and waits. A serving workload is the opposite shape --
 /// many callers, one tensor each, latency budgets -- so serve::Server puts
 /// a request queue with a *dynamic batching* policy in front of N worker
-/// BatchRunners (Clipper-style adaptive batching / Triton-style delayed
-/// batch windows):
+/// BatchRunners:
 ///
 ///     submit(Tensor) -> future<Result>
 ///          |                                    workers (N threads)
 ///          v                                   +-> BatchRunner --+
 ///     [ lock-guarded FIFO queue ] -- batches --+-> BatchRunner --+-> shared
-///       close batch when max_batch             +-> BatchRunner --+   pool
-///       reached OR the oldest member's
-///       batching_window_us expires, whichever first
+///       a free worker takes up to max_batch    +-> BatchRunner --+   pool
+///       queued requests at once (default), or
+///       closes a batch at max_batch / the end
+///       of a fixed batching window
 ///
 /// Policy details:
-///  * A request joins a batch only if it arrived within batching_window_us
-///    of the batch's oldest member -- window 0 therefore means "no
-///    coalescing" (every request is served alone), which is the baseline
-///    the load bench compares against. The window bounds a batch's age
-///    spread even when dispatch is late, so under sustained overload a
-///    batch holds at most ~window/inter-arrival-gap requests: pick a
-///    window of at least max_batch x the expected arrival gap to let
-///    batches fill (greedy backlog-filling would batch better there, but
-///    it would also erase the window-0 baseline and the age-spread
-///    latency bound). queue_capacity and deadlines are the overload
-///    backstops.
+///  * Work-conserving (batching_window_us unset, the default): a free
+///    worker takes whatever is queued, up to max_batch, and never waits.
+///    A request that finds a worker idle is served at once; batches fill
+///    only while every worker is busy, so batch size follows the load
+///    (Clipper's adaptive batching, Crankshaw et al., NSDI'17).
+///  * Fixed window (batching_window_us set, 0 included): a batch is
+///    anchored on the oldest queued request and closes at max_batch or
+///    when that request has waited the window, whichever comes first. A
+///    request joins only if it arrived within the window of the oldest
+///    member -- window 0 therefore means "no coalescing" (every request
+///    is served alone), the baseline the load bench compares against --
+///    so under sustained overload a batch holds at most
+///    ~window/inter-arrival-gap requests. Set a window only to trade
+///    light-load latency for fuller batches. queue_capacity and deadlines
+///    are the overload backstops under either policy.
 ///  * Per-request deadlines: a request whose deadline has passed when its
 ///    batch is formed completes with Status::kDeadlineExceeded (it never
 ///    occupies GEMM space, and it is never silently dropped).
@@ -57,6 +61,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -116,11 +121,14 @@ using Completion = std::function<void(Result)>;
 
 /// Tuning knobs of the dynamic-batching policy and the worker fleet.
 struct ServerConfig {
-  /// Batch closes as soon as it holds max_batch live requests...
+  /// Most requests one batch holds.
   std::size_t max_batch = 64;
-  /// ...or when the oldest member has waited this long. 0 disables
-  /// coalescing (serve singly) -- the no-batching baseline.
-  std::uint64_t batching_window_us = 1000;
+  /// Unset: work-conserving -- a free worker takes up to max_batch queued
+  /// requests at once and never waits. Set: a fixed window -- a batch
+  /// also closes when its oldest member has waited this long, and only
+  /// requests that arrived within it join; 0 disables coalescing (serve
+  /// singly), the no-batching baseline.
+  std::optional<std::uint64_t> batching_window_us;
   /// Worker threads, each forming + executing batches independently.
   std::size_t workers = 2;
   /// Shared pool concurrency for intra-batch fan-out (0 = EB_THREADS /
@@ -210,6 +218,8 @@ class Server {
   void start_workers();
   static void fulfil(Pending& r, Result res);
   void worker_loop(std::size_t worker_idx);
+  // Wakes the workers an arrival (or a batch remainder) concerns.
+  void wake_workers();
   // Pops one batch under the dynamic-batching policy. Returns false when
   // draining and the queue is empty (worker exits).
   bool form_batch(std::vector<Pending>& batch);

@@ -1,6 +1,7 @@
 #include "serve/wire.hpp"
 
 #include <bit>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -100,6 +101,14 @@ struct Reader {
     return v;
   }
   double get_f64() { return std::bit_cast<double>(get_u64()); }
+  void get_raw(void* dst, std::size_t n) {
+    if (!take(n)) {
+      return;
+    }
+    std::memcpy(dst, p, n);
+    p += n;
+    remaining -= n;
+  }
   std::string get_bytes(std::size_t n) {
     if (!take(n)) {
       return {};
@@ -118,9 +127,20 @@ void put_tensor(std::vector<std::uint8_t>& out, const bnn::Tensor& t) {
     EB_REQUIRE(t.dim(d) <= UINT32_MAX, "tensor dim exceeds wire limit");
     put_u32(out, static_cast<std::uint32_t>(t.dim(d)));
   }
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    put_f64(out, t[i]);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The wire's little-endian IEEE-754 bytes are the tensor's own.
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(t.data());
+    out.insert(out.end(), bytes, bytes + 8 * t.size());
+  } else {
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      put_f64(out, t[i]);
+    }
   }
+}
+
+// Body bytes put_tensor writes for `t`.
+std::size_t tensor_wire_bytes(const bnn::Tensor& t) {
+  return 1 + 4 * t.rank() + 8 * t.size();
 }
 
 // Reads ndims + dims + payload. Returns false on rank/dims abuse or when
@@ -154,8 +174,12 @@ bool get_tensor(Reader& r, bnn::Tensor& t) {
     return true;
   }
   bnn::Tensor out(shape);
-  for (std::size_t i = 0; i < elems; ++i) {
-    out[i] = r.get_f64();
+  if constexpr (std::endian::native == std::endian::little) {
+    r.get_raw(out.data(), 8 * elems);
+  } else {
+    for (std::size_t i = 0; i < elems; ++i) {
+      out[i] = r.get_f64();
+    }
   }
   t = std::move(out);
   return r.ok;
@@ -197,10 +221,16 @@ DecodeStatus open_frame(const std::uint8_t* data, std::size_t size,
   return DecodeStatus::kOk;
 }
 
+// Throws unless a body of `body_len` bytes fits one frame. Encoders that
+// carry a tensor call it from the element count, before they allocate.
+void check_frame_cap(std::size_t body_len) {
+  EB_REQUIRE(body_len <= kMaxFrameBytes, "frame exceeds size cap");
+}
+
 // Writes the u32 length prefix into out[0..3] from the body that follows.
 // The cap is checked on the full size_t length, before narrowing to u32.
 void seal_frame(std::vector<std::uint8_t>& out) {
-  EB_REQUIRE(out.size() - 4 <= kMaxFrameBytes, "frame exceeds size cap");
+  check_frame_cap(out.size() - 4);
   const auto body_len = static_cast<std::uint32_t>(out.size() - 4);
   for (int i = 0; i < 4; ++i) {
     out[static_cast<std::size_t>(i)] =
@@ -235,8 +265,13 @@ std::vector<std::uint8_t> encode_request(const RequestFrame& req) {
              "model id must be 1..65535 bytes");
   EB_REQUIRE(static_cast<std::size_t>(req.cls) < kNumClasses,
              "invalid deadline class");
+  // magic, version, type, class, reserved, id, deadline, id_len, id.
+  const std::size_t body =
+      4 + 1 + 1 + 1 + 1 + 8 + 8 + 2 + req.model_id.size() +
+      tensor_wire_bytes(req.tensor);
+  check_frame_cap(body);
   std::vector<std::uint8_t> out;
-  out.reserve(64 + req.model_id.size() + 8 * req.tensor.size());
+  out.reserve(4 + body);
   put_u32(out, 0);  // length placeholder
   put_u32(out, kMagic);
   put_u8(out, kVersion);
@@ -253,8 +288,13 @@ std::vector<std::uint8_t> encode_request(const RequestFrame& req) {
 }
 
 std::vector<std::uint8_t> encode_response(const ResponseFrame& resp) {
+  const bool ok = resp.status == Status::kOk;
+  // magic, version, type, status, reserved, id, queue_us, total_us.
+  const std::size_t body = 4 + 1 + 1 + 1 + 1 + 8 + 8 + 8 +
+                           (ok ? tensor_wire_bytes(resp.tensor) : 1);
+  check_frame_cap(body);
   std::vector<std::uint8_t> out;
-  out.reserve(64 + 8 * resp.tensor.size());
+  out.reserve(4 + body);
   put_u32(out, 0);  // length placeholder
   put_u32(out, kMagic);
   put_u8(out, kVersion);
@@ -264,7 +304,7 @@ std::vector<std::uint8_t> encode_response(const ResponseFrame& resp) {
   put_u64(out, resp.request_id);
   put_f64(out, resp.queue_us);
   put_f64(out, resp.total_us);
-  if (resp.status == Status::kOk) {
+  if (ok) {
     put_tensor(out, resp.tensor);
   } else {
     put_u8(out, 0);  // ndims = 0: no payload on non-ok responses

@@ -224,12 +224,14 @@ enum class DecodeStatus {
 /// Lower-case log name of a DecodeStatus.
 [[nodiscard]] const char* to_string(DecodeStatus s);
 
-/// Serializes a request frame (length prefix included).
+/// Serializes a request frame (length prefix included). Throws eb::Error
+/// when the body would exceed kMaxFrameBytes -- checked from the element
+/// count, before anything is allocated or encoded -- or when the model id
+/// or the tensor's rank or dims exceed the wire limits.
 [[nodiscard]] std::vector<std::uint8_t> encode_request(
     const RequestFrame& req);
 /// Serializes a response frame (length prefix included). Throws eb::Error
-/// when the body would exceed kMaxFrameBytes or the tensor's rank or dims
-/// exceed the wire limits.
+/// as encode_request does; the frame cap is checked before encoding.
 [[nodiscard]] std::vector<std::uint8_t> encode_response(
     const ResponseFrame& resp);
 

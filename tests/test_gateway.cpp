@@ -501,6 +501,119 @@ TEST(Gateway, ShutdownDrainsAndRejectsLateSubmissions) {
   EXPECT_THROW(gw.register_model("late", net), Error);
 }
 
+// ------------------------------------------------------- pump-driven DRR --
+
+// Every admission and every server dequeue runs one pump; no dispatcher
+// thread or timer moves requests. A default ModelConfig (no batching
+// window) on a frozen VirtualClock therefore serves a lone request with
+// no clock advance; the real-time wait_for guard turns a stall into a
+// failure rather than a hang.
+TEST(Gateway, DefaultModelConfigServesALoneRequestWithoutClockAdvance) {
+  const Network net = make_net_a();
+  const auto inputs = make_inputs(1, kDimA, 81);
+  VirtualClock vclock;
+  GatewayConfig gcfg;
+  gcfg.pool_threads = 1;
+  gcfg.clock = &vclock;
+  Gateway gw(gcfg);
+  gw.register_model("m", net);  // default ModelConfig
+  auto fut = gw.submit("m", inputs[0]);
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+      << "a lone request waited for the clock";
+  const Result r = fut.get();
+  ASSERT_EQ(r.status, Status::kOk) << to_string(r.status);
+  EXPECT_EQ(r.queue_us, 0.0);
+  EXPECT_EQ(r.total_us, 0.0);
+  expect_tensors_equal(r.output, net.forward(inputs[0]), 0);
+}
+
+// A slow single-request handler behind a server queue of capacity 1 or 2.
+ModelConfig shallow_slow_model(std::size_t queue_capacity) {
+  ModelConfig mcfg;
+  mcfg.server.max_batch = 1;
+  mcfg.server.workers = 1;
+  mcfg.server.queue_capacity = queue_capacity;
+  return mcfg;
+}
+
+std::vector<Tensor> slow_echo(std::span<const Tensor> batch) {
+  std::this_thread::sleep_for(std::chrono::microseconds(50));
+  return {batch.begin(), batch.end()};
+}
+
+// Concurrent pumps (one per submitter, plus the worker's on_dequeue) must
+// never forward more than the server queue holds: requests a pump popped
+// but has not yet forwarded count against the capacity, so nothing turns
+// into a server-side kRejected.
+TEST(Gateway, ConcurrentSubmittersNeverOverfillAShallowServerQueue) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 40;
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{2}}) {
+    GatewayConfig gcfg;
+    gcfg.pool_threads = 1;
+    for (auto& cls : gcfg.classes) {
+      cls.default_deadline_us = 0;
+    }
+    Gateway gw(gcfg);
+    gw.register_model(
+        "slow",
+        [](std::span<const Tensor> batch, ThreadPool&) {
+          return slow_echo(batch);
+        },
+        shallow_slow_model(capacity));
+    std::atomic<std::size_t> ok{0};
+    std::atomic<std::size_t> other{0};
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      submitters.emplace_back([&] {
+        std::vector<std::future<Result>> futs;
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          futs.push_back(
+              gw.submit("slow", Tensor({1}), DeadlineClass::kBatch));
+        }
+        for (auto& f : futs) {
+          (f.get().status == Status::kOk ? ok : other).fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : submitters) {
+      t.join();
+    }
+    EXPECT_EQ(ok.load(), kThreads * kPerThread) << "capacity " << capacity;
+    EXPECT_EQ(other.load(), 0u) << "capacity " << capacity;
+    const auto snap = gw.metrics();
+    EXPECT_EQ(snap.rejected, 0u);
+    EXPECT_EQ(snap.models.at(0).server.rejected, 0u);
+  }
+}
+
+// shutdown() waits until the pumps have forwarded a backlog many times
+// deeper than the server queue, then drains: every request is served.
+TEST(Gateway, ShutdownForwardsABacklogDeeperThanTheServerQueue) {
+  constexpr std::size_t kBacklog = 40;
+  GatewayConfig gcfg;
+  gcfg.pool_threads = 1;
+  Gateway gw(gcfg);
+  gw.register_model(
+      "slow",
+      [](std::span<const Tensor> batch, ThreadPool&) {
+        return slow_echo(batch);
+      },
+      shallow_slow_model(2));
+  std::vector<std::future<Result>> futs;
+  for (std::size_t i = 0; i < kBacklog; ++i) {
+    futs.push_back(gw.submit("slow", Tensor({1}), DeadlineClass::kBestEffort));
+  }
+  gw.shutdown();
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    ASSERT_EQ(futs[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << i << " unresolved after shutdown()";
+    EXPECT_EQ(futs[i].get().status, Status::kOk) << "request " << i;
+  }
+  EXPECT_EQ(gw.metrics().models.at(0).server.completed, kBacklog);
+}
+
 // ------------------------------------------------------------------- wire --
 
 TEST(Wire, RequestAndResponseRoundTripByteExactly) {

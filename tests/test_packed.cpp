@@ -438,6 +438,52 @@ TEST(BatchEquivalence, EmptyBatchYieldsEmptyResult) {
   EXPECT_TRUE(conv.forward_batch(none, pool).empty());
 }
 
+// Sign and Threshold batch overrides build each output once, several
+// samples per pool task: every output keeps forward()'s exact bytes, for
+// [F] and [C,H,W] inputs, inline and on a 4-wide pool. Integer-valued
+// inputs land exactly on thresholds and on -0.0 / +0.0.
+TEST(BatchEquivalence, EpilogueOverridesMatchForwardByteForByte) {
+  constexpr std::size_t kCh = 6;
+  std::vector<long long> thr;
+  std::vector<std::uint8_t> flip;
+  for (std::size_t c = 0; c < kCh; ++c) {
+    thr.push_back(static_cast<long long>(c) - 3);
+    flip.push_back(static_cast<std::uint8_t>(c % 2));
+  }
+  const ThresholdLayer threshold("thr", thr, flip);
+  const SignLayer sign("sign", kCh);
+  Rng rng(24);
+  for (const auto& shape : {std::vector<std::size_t>{kCh},
+                            std::vector<std::size_t>{kCh, 3, 4}}) {
+    std::vector<Tensor> xs;
+    for (std::size_t s = 0; s < 19; ++s) {  // 8 + 8 + 3: a ragged chunk
+      Tensor x(shape);
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        const double v = std::round(rng.uniform(-6.0, 6.0));
+        x[i] = v == 0.0 && rng.bernoulli() ? -0.0 : v;
+      }
+      xs.push_back(std::move(x));
+    }
+    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+      ThreadPool pool(width);
+      for (const Layer* layer : {static_cast<const Layer*>(&threshold),
+                                 static_cast<const Layer*>(&sign)}) {
+        const auto batched = layer->forward_batch(xs, pool);
+        ASSERT_EQ(batched.size(), xs.size());
+        for (std::size_t s = 0; s < xs.size(); ++s) {
+          const Tensor ref = layer->forward(xs[s]);
+          ASSERT_EQ(batched[s].shape(), ref.shape()) << layer->name();
+          EXPECT_EQ(std::memcmp(batched[s].data(), ref.data(),
+                                ref.size() * sizeof(double)),
+                    0)
+              << layer->name() << " rank " << shape.size() << " sample " << s
+              << " pool " << width;
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchEquivalence, BinaryDenseForwardBatchIsBitIdentical) {
   Rng rng(8);
   for (const auto& [in, out] : {std::pair<std::size_t, std::size_t>{65, 9},

@@ -7,8 +7,10 @@
 //  * concurrent submit() from many threads is loss-free and every output
 //    is bit-identical to the per-sample reference path, no matter how the
 //    requests were coalesced into batches;
-//  * a batch closes at max_batch or when the oldest member's window
-//    expires, whichever first -- and window 0 means singleton batches;
+//  * with no window set, a free worker takes what is queued at once, and
+//    batches fill only while workers are busy; with a window set, a batch
+//    closes at max_batch or when the oldest member's window expires,
+//    whichever first -- and window 0 means singleton batches;
 //  * expired requests complete with kDeadlineExceeded, never dropped;
 //  * shutdown() drains: every accepted request's future is fulfilled;
 //  * the whole suite is run by CI under EB_THREADS=1 and 4 and under
@@ -20,6 +22,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -266,6 +269,106 @@ TEST(Server, ZeroWindowServesSingletonBatches) {
   const auto m = server.metrics();
   EXPECT_EQ(m.batches, 6u);
   EXPECT_DOUBLE_EQ(m.mean_batch_size, 1.0);
+}
+
+// Work-conserving policy (batching_window_us unset). Both tests run on a
+// frozen VirtualClock: a server that waited for any window would never
+// dispatch, and the real-time wait_for guards turn that into a failure
+// rather than a hang.
+
+constexpr auto kGuard = std::chrono::seconds(30);
+
+bool ready_within_guard(std::future<Result>& f) {
+  return f.wait_for(kGuard) == std::future_status::ready;
+}
+
+TEST(Server, UnsetWindowServesALoneRequestAtOnce) {
+  const Network net = make_net();
+  const auto inputs = make_inputs(1);
+  VirtualClock vclock;
+  ServerConfig cfg;  // batching_window_us unset: work-conserving
+  cfg.workers = 1;
+  cfg.clock = &vclock;
+  Server server(net, cfg);
+  auto fut = server.submit(inputs[0]);
+  ASSERT_TRUE(ready_within_guard(fut)) << "an idle worker waited";
+  const Result res = fut.get();
+  ASSERT_EQ(res.status, Status::kOk);
+  EXPECT_EQ(res.queue_us, 0.0);  // no virtual time passed: no wait at all
+  EXPECT_EQ(res.batch_size, 1u);
+  expect_tensors_equal(res.output, net.forward(inputs[0]), 0);
+}
+
+// A latch a handler parks on until the test opens it.
+class Gate {
+ public:
+  void open() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(Server, UnsetWindowBatchesOnlyWhileTheWorkerIsBusy) {
+  constexpr std::size_t kMaxBatch = 4;
+  constexpr std::size_t kWhileBusy = 6;
+  VirtualClock vclock;
+  Gate gate;
+  std::promise<void> entered;
+  std::atomic<bool> first_call{true};
+  ServerConfig cfg;
+  cfg.max_batch = kMaxBatch;
+  cfg.workers = 1;
+  cfg.clock = &vclock;
+  Server server(
+      [&gate, &entered, &first_call](std::span<const Tensor> batch,
+                                     ThreadPool&) -> std::vector<Tensor> {
+        if (first_call.exchange(false)) {
+          entered.set_value();
+          gate.wait();
+        }
+        return {batch.begin(), batch.end()};
+      },
+      cfg);
+
+  auto first = server.submit(Tensor({1}));
+  const bool ran = entered.get_future().wait_for(kGuard) ==
+                   std::future_status::ready;
+  EXPECT_TRUE(ran) << "the first request did not start on an idle worker";
+  std::vector<std::future<Result>> queued;
+  for (std::size_t i = 0; i < kWhileBusy; ++i) {
+    queued.push_back(server.submit(Tensor({1})));
+  }
+  // Opened before any assertion can return, so the destructor's drain
+  // never parks in the handler.
+  gate.open();
+  if (!ran) {
+    return;
+  }
+  ASSERT_TRUE(ready_within_guard(first));
+  EXPECT_EQ(first.get().batch_size, 1u);  // alone: nothing else was queued
+  // Everything that arrived while the worker was busy forms one full
+  // batch; the remainder forms the next.
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    ASSERT_TRUE(ready_within_guard(queued[i])) << i;
+    const Result res = queued[i].get();
+    ASSERT_EQ(res.status, Status::kOk) << i;
+    EXPECT_EQ(res.batch_size,
+              i < kMaxBatch ? kMaxBatch : kWhileBusy - kMaxBatch)
+        << i;
+    EXPECT_EQ(res.queue_us, 0.0) << i;
+  }
+  const auto m = server.metrics();
+  EXPECT_EQ(m.batches, 3u);
 }
 
 // ------------------------------------------------------ deadlines / drain --

@@ -489,6 +489,46 @@ TEST(Wire, RequestReservedByteIsIgnored) {
   }
 }
 
+// Tensor payloads are raw little-endian IEEE-754 doubles, whatever the
+// host: pins the exact bytes of a known tensor in both frame types, and
+// that they decode back to the same values.
+TEST(Wire, TensorPayloadBytesArePinnedLittleEndian) {
+  const Tensor t({2}, {1.0, -2.5});
+  const std::vector<std::uint8_t> want = {
+      1,    2,    0,    0,    0,                          // ndims, dim 0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,     // 1.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xC0};    // -2.5
+  const auto tail_of = [&](const std::vector<std::uint8_t>& frame) {
+    return std::vector<std::uint8_t>(
+        frame.end() - static_cast<std::ptrdiff_t>(want.size()), frame.end());
+  };
+
+  wire::RequestFrame req;
+  req.request_id = 3;
+  req.model_id = "m";
+  req.tensor = t;
+  const auto rbytes = wire::encode_request(req);
+  EXPECT_EQ(tail_of(rbytes), want);
+  wire::RequestFrame rout;
+  std::size_t consumed = 0;
+  ASSERT_EQ(wire::decode_request(rbytes.data(), rbytes.size(), rout, consumed),
+            wire::DecodeStatus::kOk);
+  EXPECT_EQ(rout.tensor[0], 1.0);
+  EXPECT_EQ(rout.tensor[1], -2.5);
+
+  wire::ResponseFrame resp;
+  resp.request_id = 3;
+  resp.status = Status::kOk;
+  resp.tensor = t;
+  const auto sbytes = wire::encode_response(resp);
+  EXPECT_EQ(tail_of(sbytes), want);
+  wire::ResponseFrame sout;
+  ASSERT_EQ(wire::decode_response(sbytes.data(), sbytes.size(), sout, consumed),
+            wire::DecodeStatus::kOk);
+  EXPECT_EQ(sout.tensor[0], 1.0);
+  EXPECT_EQ(sout.tensor[1], -2.5);
+}
+
 // The frame cap holds exactly at its boundary: a response body of
 // kMaxFrameBytes - 3 bytes (37 header bytes + 2,097,147 doubles) encodes,
 // and one more double throws instead of writing a wrong length prefix.
