@@ -642,7 +642,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cfg.get_int("window_us", 200));
   mcfg.server.workers =
       static_cast<std::size_t>(cfg.get_int("workers", 2));
-  mcfg.server.queue_capacity = std::size_t{1} << 17;
   gw.register_model(kModel, net, mcfg);
 
   TcpFrontendConfig fcfg;

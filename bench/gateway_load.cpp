@@ -10,10 +10,11 @@
 //                serving rate; reports per-class p50/p99 and checks the
 //                accounting invariant (nothing lost, nothing dropped).
 //  * saturated -- preloads one model's interactive (weight 3) and batch
-//                (weight 1) admission queues and measures the interactive
+//                (weight 1) class lanes and measures the interactive
 //                share of the completion-order prefix while both classes
-//                stay backlogged: the weighted-deficit scheduler must land
-//                the admitted-throughput ratio near 3:1.
+//                stay backlogged: the model server's weighted-deficit
+//                batch formation must land the served-throughput ratio
+//                near 3:1.
 //
 // mode=ci additionally gates against bench/baselines/gateway_load_ci.json
 // (per-class p99 budgets + allowed fairness-ratio band) and exits 1 on
@@ -99,7 +100,6 @@ ModelConfig model_config(const Config& cfg) {
   mcfg.server.batching_window_us =
       static_cast<std::uint64_t>(cfg.get_int("window_us", 1000));
   mcfg.server.workers = static_cast<std::size_t>(cfg.get_int("workers", 1));
-  mcfg.server.queue_capacity = 2 * mcfg.server.max_batch;
   return mcfg;
 }
 
@@ -304,7 +304,6 @@ int main(int argc, char** argv) {
     ModelConfig tight = mcfg;
     tight.server.max_batch = std::max<std::size_t>(1, mcfg.server.max_batch / 4);
     tight.server.batching_window_us = 0;
-    tight.server.queue_capacity = 2 * tight.server.max_batch;
     gw.register_model(models[0], net_a, tight);
     const auto per_class = static_cast<std::size_t>(
         cfg.get_int("per_class", smoke ? 300 : 1000));

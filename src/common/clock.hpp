@@ -25,8 +25,8 @@
 namespace eb {
 
 // Abstract time source. Implementations must be safe to share across
-// threads (the serving layer reads now() from workers, dispatchers and
-// submitters concurrently).
+// threads (the serving layer reads now() from workers and submitters
+// concurrently).
 class Clock {
  public:
   // Serving code keeps steady_clock's point/duration types, so swapping

@@ -186,7 +186,7 @@ int Balancer::pick_replica(const std::vector<bool>& tried) {
   }
   // Power of two choices: sample two distinct candidates, score each by
   // outstanding work (our in-flight + the replica's last reported
-  // admission backlog), route to the lighter one.
+  // admitted-not-completed count), route to the lighter one.
   const std::size_t a = static_cast<std::size_t>(rng_.uniform_int(
       0, static_cast<std::int64_t>(cand.size()) - 1));
   std::size_t b = static_cast<std::size_t>(rng_.uniform_int(

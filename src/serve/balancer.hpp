@@ -12,11 +12,12 @@
 ///                    TcpFrontend)
 ///
 /// Routing: power-of-two-choices -- sample two live replicas, score each
-/// by `in-flight requests + admission queue depth` (the queue depth
-/// rides the periodic type-6 stats responses each ReplicaClient polls),
-/// send to the lower score. With one live replica the choice is forced;
-/// with none the request fails kRejected immediately ("failed loudly" --
-/// the balancer never buffers requests for a future replica).
+/// by `in-flight requests + queue depth` (the replica's requests admitted
+/// and not yet completed, riding the periodic type-6 stats responses each
+/// ReplicaClient polls), send to the lower score. With one live replica
+/// the choice is forced; with none the request fails kRejected
+/// immediately ("failed loudly" -- the balancer never buffers requests
+/// for a future replica).
 ///
 /// Health + retries: a replica is dead while its ReplicaClient is
 /// disconnected (ping timeout or connection loss -- see

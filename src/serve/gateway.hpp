@@ -1,39 +1,42 @@
 /// \file
 /// \brief Multi-model serving gateway: a named-model registry with
-/// weighted deadline-class admission in front of per-model serve::Servers.
+/// deadline-class admission in front of per-model serve::Servers.
 ///
 /// serve::Server fronts exactly one model. A photonic accelerator
 /// deployment is inherently multi-tenant -- crossbar/wavelength resources
 /// are shared across workloads -- so the Gateway schedules many *named*
 /// models over one machine:
 ///
-///     submit("mlp-a", x, kInteractive) ─┐   per-(model, class)      model
-///     submit("mlp-b", x, kBatch) ───────┼─> admission queues ──┐   servers
-///     TcpFrontend (wire frames) ────────┘   weighted-deficit   │  ┌───────┐
-///                                           round-robin pump ──┼─>│ mlp-a │─┐
-///                                           (on admission and  │  ├───────┤ ├─> ONE
-///                                            on every server   └─>│ mlp-b │─┘  shared
-///                                            dequeue)             └───────┘  ThreadPool
+///     submit("mlp-a", x, kInteractive) ─┐                  model servers:
+///     submit("mlp-b", x, kBatch) ───────┼─> admission ─┐   one lane per class
+///     TcpFrontend (wire frames) ────────┘   (shape,    │  ┌──────────────┐
+///                                           class cap, ├─>│ mlp-a  i b e │─┐
+///                                           deadline)  │  ├──────────────┤ ├─> ONE
+///                                                      └─>│ mlp-b  i b e │─┘  shared
+///                                                         └──────────────┘  ThreadPool
+///                                                a free worker pops its batch
+///                                                from its lanes by weighted DRR
 ///
 ///  * **Registry** -- register_model(id, ...) accepts a bnn::Network, any
 ///    serve::BatchHandler, or a map::MappedExecutor (adapted via
-///    serve::make_mapped_handler), each with its own batching config and a
-///    scheduling weight. Every model gets its own serve::Server whose
-///    workers all share the gateway's single re-entrant ThreadPool, so N
-///    models never oversubscribe the machine. unregister_model() drains
-///    the model's in-flight work (every accepted request is fulfilled) and
-///    rejects anything still waiting in the admission queues.
-///  * **Weighted admission** -- requests are admitted under a
-///    DeadlineClass (interactive | batch | besteffort) into per-(model,
-///    class) FIFO queues, each bounded by the class's capacity partition.
-///    Every admission and every server's on_dequeue hook runs one pump,
-///    which pops the queues with deficit round-robin at weight
-///    `model.weight x class.weight` and forwards into a model's server
-///    only while that server has queue capacity (requests popped but not
-///    yet forwarded count against it). Under saturation the
-///    admitted-throughput ratio between two queues matches their weight
-///    ratio. Requests without an explicit deadline inherit their class
-///    default; deadlines are end-to-end from gateway admission.
+///    serve::make_mapped_handler), each with its own batching config.
+///    Every model gets its own serve::Server whose workers all share the
+///    gateway's single re-entrant ThreadPool, so N models never
+///    oversubscribe the machine. unregister_model() removes the model and
+///    drains its server: every admitted request is served.
+///  * **Admission** -- submit() runs the shape gate and checks the
+///    request's DeadlineClass (interactive | batch | besteffort) against
+///    the class's capacity partition, which bounds the class's requests
+///    admitted and not yet completed across all models. It then hands the
+///    request straight to its model's server, into the lane of its class,
+///    the only queue the request waits in. A request without an explicit
+///    deadline inherits its class default; the server stamps the request
+///    on arrival, so deadlines and Result::queue_us run from admission.
+///  * **Weighted scheduling** -- every model server's lanes carry the
+///    class weights, and a free worker pops its batch from them by
+///    deficit round-robin: under saturation a model's served-throughput
+///    ratio between two classes matches their weight ratio. Each request
+///    is deadline-gated once, when its batch forms.
 ///  * **Metrics** -- per-class gateway Metrics (admission-to-completion
 ///    latency), per-model server snapshots, and an aggregated
 ///    GatewaySnapshot for dashboards and the gateway_load CI gate.
@@ -45,8 +48,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -69,22 +70,13 @@
 
 namespace eb::serve {
 
-/// Per-model server defaults for gateway-hosted models: identical to
-/// ServerConfig{} except for a *shallow* queue (2 x max_batch). The
-/// admission queues -- where the weighted scheduler arbitrates -- must be
-/// where backlog accumulates; a deep server queue would swallow the
-/// backlog FIFO and erase the weight ratios.
-[[nodiscard]] ServerConfig default_model_server_config();
-
 /// How one registered model is hosted.
 struct ModelConfig {
-  /// Queue + batching knobs of the model's own serve::Server.
-  /// pool_threads is ignored (all models share the gateway pool); keep
-  /// queue_capacity shallow (see default_model_server_config()).
-  ServerConfig server = default_model_server_config();
-  /// Scheduling weight multiplier (> 0): the model's (model, class) queue
-  /// weighs model.weight x class.weight in the DRR pump.
-  double weight = 1.0;
+  /// Batching knobs of the model's own serve::Server. The gateway
+  /// ignores pool_threads (all models share the gateway pool) and
+  /// queue_capacity (the class partitions bound admission), and sets
+  /// class_weights from GatewayConfig::classes.
+  ServerConfig server;
   /// Expected request tensor element count; a mismatching submission is
   /// rejected at admission with kInvalidArgument instead of reaching a
   /// batch (where one malformed co-tenant request would fail every
@@ -102,9 +94,10 @@ struct GatewayConfig {
   /// Per-class scheduling weight, default deadline and admission-capacity
   /// partition (indexed by DeadlineClass).
   std::array<ClassConfig, kNumClasses> classes = default_class_configs();
-  /// Time source for admission stamps and deadlines; propagated into every
-  /// registered model's server (unless its ServerConfig sets its own).
-  /// nullptr = eb::Clock::real(). Must outlive the gateway.
+  /// Time source for admission stamps, deadlines and batching windows:
+  /// every registered model's server ticks on it (unless its
+  /// ServerConfig sets its own). nullptr = eb::Clock::real(). Must
+  /// outlive the gateway.
   Clock* clock = nullptr;
   /// Directory load_model() (and therefore the wire's type-7 load op)
   /// resolves .ebm file names against. Empty disables model loading:
@@ -115,7 +108,6 @@ struct GatewayConfig {
 /// One registered model's slice of a GatewaySnapshot.
 struct ModelSnapshot {
   std::string id;                 ///< Registry name.
-  double weight = 1.0;            ///< ModelConfig::weight.
   /// ModelConfig::input_size after auto-derivation (0 = unchecked).
   /// Exported over the wire stats frame so a balancer can run the
   /// admission-time shape gate before picking a replica.
@@ -127,8 +119,9 @@ struct ModelSnapshot {
 /// metrics (latencies are end-to-end from gateway admission), per-model
 /// server snapshots, and class-summed aggregates.
 struct GatewaySnapshot {
-  /// Indexed by DeadlineClass; queue_depth is the class's current
-  /// admission-queue population across all models.
+  /// Indexed by DeadlineClass; queue_depth is the class's requests
+  /// admitted and not yet completed, across all models (the count its
+  /// ClassConfig::queue_capacity bounds).
   std::array<MetricsSnapshot, kNumClasses> classes;
   /// Per-class kInternalError completions (handler exceptions).
   std::array<std::size_t, kNumClasses> errors{};
@@ -156,7 +149,7 @@ struct GatewaySnapshot {
   [[nodiscard]] std::string summary() const;
 };
 
-/// The multi-model registry + weighted-deficit admission scheduler.
+/// The multi-model registry + deadline-class admission.
 class Gateway {
  public:
   explicit Gateway(GatewayConfig cfg = {});
@@ -190,9 +183,9 @@ class Gateway {
   /// plain file name, the file is missing/corrupt, or `id` is taken.
   void load_model(const std::string& id, const std::string& file,
                   ModelConfig mcfg = {});
-  /// Removes `id` from the registry: admission-queue stragglers complete
-  /// with kRejected, in-flight server work is drained (every accepted
-  /// request fulfilled). Returns false when no such model exists.
+  /// Removes `id` from the registry, then drains its server: every
+  /// admitted request is served. A submission racing the removal
+  /// completes with kRejected. Returns false when no such model exists.
   bool unregister_model(const std::string& id);
   /// Registered model ids, sorted.
   [[nodiscard]] std::vector<std::string> model_ids() const;
@@ -201,24 +194,22 @@ class Gateway {
   /// Admits one request for `model` under `cls`. deadline_us == 0 applies
   /// the class default (end-to-end from admission; 0 there = none). The
   /// future is always fulfilled: kOk, kDeadlineExceeded, kRejected
-  /// (unknown/unregistered model, class queue full, after shutdown),
+  /// (unknown/unregistered model, class partition full, after shutdown),
   /// kInvalidArgument (request shape does not match the model's declared
   /// input_size) or kInternalError.
   std::future<Result> submit(const std::string& model, bnn::Tensor input,
                              DeadlineClass cls = DeadlineClass::kInteractive,
                              std::uint64_t deadline_us = 0);
   /// Callback flavor (the wire frontend's path): `done` runs exactly once
-  /// with the terminal Result. It may run inline on the calling thread
-  /// (rejected at admission, or forwarded by this call's pump with its
-  /// deadline already past), on a model-server worker, or on another
-  /// submitter's thread whose pump forwarded it; callbacks must not
-  /// assume which.
+  /// with the terminal Result -- inline on the calling thread when the
+  /// request is rejected at admission (or by a server that a racing
+  /// unregister_model()/shutdown() is draining), otherwise on a worker of
+  /// the model's server.
   void submit_async(const std::string& model, bnn::Tensor input,
                     DeadlineClass cls, std::uint64_t deadline_us,
                     Completion done);
 
-  /// Stops admissions, waits until the pumps have forwarded every
-  /// admission queue, then drains every model server (all accepted
+  /// Stops admissions, then drains every model server (all admitted
   /// requests fulfilled). Idempotent; called by the destructor.
   void shutdown();
 
@@ -239,43 +230,22 @@ class Gateway {
  private:
   struct ModelEntry;  // registry slot; defined in gateway.cpp
 
-  /// One admitted request waiting in a (model, class) admission queue.
-  struct GwPending {
-    bnn::Tensor input;
-    Clock::time_point enqueue;
-    Clock::time_point deadline;  // Clock::time_point::max() = none
-    DeadlineClass cls = DeadlineClass::kInteractive;
-    Completion done;
-    std::shared_ptr<ModelEntry> entry;
-  };
-
-  // The injected time source (cfg_.clock or the real clock).
-  [[nodiscard]] Clock& clk() const {
-    return cfg_.clock != nullptr ? *cfg_.clock : Clock::real();
-  }
   void install_entry(
       const std::string& id, const ModelConfig& mcfg,
       const std::function<std::unique_ptr<Server>(const ServerConfig&)>&
           make_server,
       std::shared_ptr<const bnn::Network> owned = nullptr);
-  // Forwards admission-queue items into model servers with capacity,
-  // until none is eligible. Runs on every admission and every server
-  // dequeue; takes mu_ and forwards outside it.
-  void pump();
-  void forward(GwPending item);
   void finish(DeadlineClass cls, Completion& done, Result res);
 
   GatewayConfig cfg_;
   ThreadPool pool_;
 
-  mutable std::mutex mu_;  // registry + admission queues + DRR state
-  std::condition_variable cv_;
-  WeightedDrrQueue<GwPending> drr_;
+  mutable std::mutex mu_;  // registry + draining_ + raising class_depth_
   std::map<std::string, std::shared_ptr<ModelEntry>> models_;
-  std::vector<std::shared_ptr<ModelEntry>> slot_entry_;  // DRR handle -> model
-  std::array<std::size_t, kNumClasses> class_depth_{};
-  std::size_t forwarding_ = 0;  // popped by a pump, not yet forwarded
   bool draining_ = false;
+  // Per class: requests admitted and not yet completed. Raised under mu_
+  // (so the partition check is exact), lowered lock-free on completion.
+  std::array<std::atomic<std::size_t>, kNumClasses> class_depth_{};
 
   std::array<Metrics, kNumClasses> class_metrics_;
   std::array<std::atomic<std::size_t>, kNumClasses> class_errors_{};
@@ -285,9 +255,6 @@ class Gateway {
   std::atomic<std::size_t> canary_failures_{0};
   std::atomic<std::size_t> rewrites_{0};
   std::atomic<std::uint64_t> rewrite_us_last_{0};
-
-  std::mutex join_mu_;  // serializes shutdown()
-  bool joined_ = false;
 };
 
 }  // namespace eb::serve

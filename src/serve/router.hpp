@@ -1,6 +1,6 @@
 /// \file
 /// \brief Deadline classes and the weighted-deficit round-robin scheduler
-/// behind serve::Gateway's admission queues.
+/// behind serve::Server's per-class lanes.
 ///
 /// Two pieces live here, both deliberately free of threads so they can be
 /// unit-tested deterministically:
@@ -8,18 +8,16 @@
 ///  * DeadlineClass / ClassConfig -- the three service classes every
 ///    gateway request is admitted under (interactive | batch |
 ///    besteffort), each with a scheduling weight, a default deadline and a
-///    capacity partition of the gateway's admission queues.
-///  * WeightedDrrQueue<Item> -- a deficit round-robin (DRR) scheduler over
-///    any number of FIFO queues. Each queue accrues credit in proportion
-///    to its weight; one pop costs one credit, so under sustained backlog
-///    the pop stream interleaves queues in weight proportion (weights 3:1
-///    => 3 pops from the first per 1 from the second, the property the
-///    gateway fairness test and the gateway_load CI gate pin down).
-///    A per-pop eligibility predicate lets the caller mask queues whose
-///    downstream (a model server at queue capacity) cannot accept work;
-///    masked queues keep their credit -- they are backlogged, just
-///    blocked -- while *empty* queues forfeit it (idle queues must not
-///    bank credit, the classic DRR rule).
+///    capacity partition of the gateway's admitted requests.
+///  * WeightedDrrQueue<Item> -- a deficit round-robin (DRR) scheduler
+///    (Shreedhar & Varghese, SIGCOMM'95) over a fixed set of FIFO lanes.
+///    Each lane accrues credit in proportion to its weight; one pop costs
+///    one credit, so under sustained backlog the pop stream interleaves
+///    lanes in weight proportion (weights 3:1 => 3 pops from the first per
+///    1 from the second, the property the gateway fairness test and the
+///    gateway_load CI gate pin down). Empty lanes forfeit their credit:
+///    idle lanes must not bank it, the classic DRR rule. serve::Server
+///    keeps one lane per DeadlineClass and forms every batch by popping it.
 #pragma once
 
 #include <algorithm>
@@ -28,10 +26,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -57,14 +55,15 @@ inline constexpr std::size_t kNumClasses = 3;
 /// Per-class admission policy of a gateway.
 struct ClassConfig {
   /// Scheduling weight (> 0): under saturation the class receives this
-  /// share of dispatch slots relative to the other classes' weights.
+  /// share of each model's batch slots relative to the other classes'
+  /// weights (the weight of the class's lane in every model server).
   double weight = 1.0;
   /// Deadline applied to requests submitted without an explicit one;
   /// 0 = none. Measured from gateway admission (end to end).
   std::uint64_t default_deadline_us = 0;
-  /// The class's partition of the gateway's admission capacity: total
-  /// queued requests of this class (across all models) beyond which
-  /// submissions complete with kRejected.
+  /// The class's partition of the gateway's admission capacity: requests
+  /// of this class admitted and not yet completed (across all models)
+  /// beyond which submissions complete with kRejected.
   std::size_t queue_capacity = 4096;
 };
 
@@ -72,47 +71,22 @@ struct ClassConfig {
 /// besteffort 1x / no deadline.
 [[nodiscard]] std::array<ClassConfig, kNumClasses> default_class_configs();
 
-/// Deficit round-robin over dynamically-registered FIFO queues. Not
-/// internally locked -- the gateway calls it under its admission mutex.
+/// Deficit round-robin over a fixed set of FIFO queues (lanes). Not
+/// internally locked -- serve::Server calls it under its queue mutex.
 template <typename Item>
 class WeightedDrrQueue {
  public:
-  /// Registers a queue with scheduling weight `weight` (> 0); returns its
-  /// handle. Slots of removed queues are reused (their handles come back),
-  /// so long-lived register/unregister churn keeps the scan set at
-  /// O(live queues) instead of O(queues ever created).
+  /// Appends a lane with scheduling weight `weight` (> 0); returns its
+  /// handle (handles count up from 0 in add order).
   std::size_t add_queue(double weight) {
     EB_REQUIRE(weight > 0.0, "DRR queue weight must be > 0");
-    for (std::size_t h = 0; h < queues_.size(); ++h) {
-      if (!queues_[h].live) {
-        EB_ASSERT(queues_[h].items.empty(), "dead DRR queue not drained");
-        queues_[h] = Q{{}, weight, 0.0, true};
-        return h;
-      }
-    }
-    queues_.push_back(Q{{}, weight, 0.0, true});
+    queues_.push_back(Q{{}, weight, 0.0});
     return queues_.size() - 1;
   }
 
-  /// Unregisters a queue and returns everything still in it (the caller
-  /// owns rejecting/rerouting the drained items).
-  std::vector<Item> remove_queue(std::size_t h) {
-    Q& q = at(h);
-    q.live = false;
-    q.deficit = 0.0;
-    EB_ASSERT(total_ >= q.items.size(), "DRR total/queue size out of sync");
-    total_ -= q.items.size();
-    std::vector<Item> out(std::make_move_iterator(q.items.begin()),
-                          std::make_move_iterator(q.items.end()));
-    q.items.clear();
-    return out;
-  }
-
-  /// Appends to queue `h` (FIFO within a queue).
+  /// Appends to lane `h` (FIFO within a lane).
   void push(std::size_t h, Item item) {
-    Q& q = at(h);
-    EB_REQUIRE(q.live, "push to a removed DRR queue");
-    q.items.push_back(std::move(item));
+    at(h).items.push_back(std::move(item));
     ++total_;
   }
 
@@ -120,76 +94,54 @@ class WeightedDrrQueue {
     return at(h).items.size();
   }
   [[nodiscard]] std::size_t total_size() const { return total_; }
+  /// Lane `h`'s items, oldest first.
+  [[nodiscard]] const std::deque<Item>& items(std::size_t h) const {
+    return at(h).items;
+  }
 
-  /// Pops the next item under DRR among non-empty queues for which
-  /// eligible(handle) holds. Returns the (handle, item) pair, or nullopt
-  /// when every non-empty queue is ineligible (or all are empty).
-  template <typename Eligible>
-  std::optional<std::pair<std::size_t, Item>> pop_next(
-      Eligible&& eligible) {
-    const std::size_t n = queues_.size();
-    if (n == 0 || total_ == 0) {
+  /// Pops the next item under DRR among non-empty lanes. Returns the
+  /// (handle, item) pair, or nullopt when every lane is empty.
+  std::optional<std::pair<std::size_t, Item>> pop_next() {
+    if (total_ == 0) {
       return std::nullopt;
     }
-    // Pass 1: serve the first eligible queue (from the cursor) that
-    // already holds a full credit.
-    for (int pass = 0; pass < 2; ++pass) {
+    const std::size_t n = queues_.size();
+    for (;;) {
+      // Serve the first lane (from the cursor) that holds a full credit.
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t h = (cursor_ + i) % n;
         Q& q = queues_[h];
-        if (!q.live || q.items.empty()) {
-          q.deficit = 0.0;  // idle queues do not bank credit
+        if (q.items.empty()) {
+          q.deficit = 0.0;  // idle lanes do not bank credit
           continue;
-        }
-        if (!eligible(h)) {
-          continue;  // blocked downstream: keeps its credit
         }
         if (q.deficit >= 1.0) {
           Item item = std::move(q.items.front());
           q.items.pop_front();
           q.deficit -= 1.0;
           --total_;
-          cursor_ = h;  // keep draining this queue while credit lasts
+          cursor_ = h;  // keep draining this lane while credit lasts
           return std::make_pair(h, std::move(item));
         }
       }
-      if (pass == 1) {
-        break;
-      }
-      // Grant round: no eligible queue had a full credit. Top every
-      // eligible backlogged queue up by the smallest whole number of
-      // weight-quanta that pushes at least one of them over 1.0, then
-      // serve on the second pass. (One grant suffices when weights are
+      // Grant round: no lane had a full credit. Top every backlogged lane
+      // up by the smallest whole number of weight-quanta that pushes at
+      // least one of them over 1.0. (One grant suffices when weights are
       // >= 1; fractional weights may need several quanta, hence the
       // explicit k.)
-      double k = 0.0;
-      bool any = false;
-      for (std::size_t h = 0; h < n; ++h) {
-        Q& q = queues_[h];
-        if (!q.live || q.items.empty() || !eligible(h)) {
-          continue;
+      double k = std::numeric_limits<double>::infinity();
+      for (const Q& q : queues_) {
+        if (!q.items.empty()) {
+          k = std::min(k, (1.0 - q.deficit) / q.weight);
         }
-        const double need = (1.0 - q.deficit) / q.weight;
-        k = any ? std::min(k, need) : need;
-        any = true;
-      }
-      if (!any) {
-        return std::nullopt;  // backlogged queues exist but none eligible
       }
       const double quanta = std::max(1.0, std::ceil(k));
-      for (std::size_t h = 0; h < n; ++h) {
-        Q& q = queues_[h];
-        if (q.live && !q.items.empty() && eligible(h)) {
+      for (Q& q : queues_) {
+        if (!q.items.empty()) {
           q.deficit += quanta * q.weight;
         }
       }
     }
-    return std::nullopt;
-  }
-
-  /// Convenience pop with every queue eligible.
-  std::optional<std::pair<std::size_t, Item>> pop_next() {
-    return pop_next([](std::size_t) { return true; });
   }
 
  private:
@@ -197,7 +149,6 @@ class WeightedDrrQueue {
     std::deque<Item> items;
     double weight = 1.0;
     double deficit = 0.0;
-    bool live = false;
   };
 
   [[nodiscard]] Q& at(std::size_t h) {
@@ -209,7 +160,10 @@ class WeightedDrrQueue {
     return queues_[h];
   }
 
-  std::vector<Q> queues_;
+  // A deque, not a vector: appending never relocates a lane, so Item may
+  // be move-only (std::deque's move constructor is not noexcept, and a
+  // vector of lanes would try to copy them on reallocation).
+  std::deque<Q> queues_;
   std::size_t cursor_ = 0;
   std::size_t total_ = 0;
 };

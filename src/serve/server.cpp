@@ -92,32 +92,34 @@ void Server::fulfil(Pending& r, Result res) {
 }
 
 void Server::start_workers() {
+  for (const double w : cfg_.class_weights) {
+    queue_.add_queue(w);
+  }
   workers_.reserve(cfg_.workers);
   for (std::size_t w = 0; w < cfg_.workers; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
   }
 }
 
-std::future<Result> Server::submit(bnn::Tensor input) {
-  return submit(std::move(input), cfg_.default_deadline_us);
-}
-
 std::future<Result> Server::submit(bnn::Tensor input,
                                    std::uint64_t deadline_us) {
   return enqueue(std::move(input), deadline_us, nullptr,
-                 /*want_future=*/true);
+                 /*want_future=*/true, DeadlineClass::kInteractive);
 }
 
 void Server::submit_async(bnn::Tensor input, std::uint64_t deadline_us,
-                          Completion done) {
+                          Completion done, DeadlineClass cls) {
   EB_REQUIRE(done != nullptr, "submit_async needs a completion callback");
   (void)enqueue(std::move(input), deadline_us, std::move(done),
-                /*want_future=*/false);
+                /*want_future=*/false, cls);
 }
 
 std::future<Result> Server::enqueue(bnn::Tensor input,
                                     std::uint64_t deadline_us,
-                                    Completion done, bool want_future) {
+                                    Completion done, bool want_future,
+                                    DeadlineClass cls) {
+  const auto lane = static_cast<std::size_t>(cls);
+  EB_REQUIRE(lane < kNumClasses, "invalid deadline class");
   Pending r;
   r.input = std::move(input);
   r.done = std::move(done);
@@ -129,16 +131,16 @@ std::future<Result> Server::enqueue(bnn::Tensor input,
   std::size_t depth = 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (!draining_ && queue_.size() < cfg_.queue_capacity) {
-      // Timestamp under the lock: queue order == enqueue-time order, the
-      // invariant the window prefix scan (and window 0's serve-singly
-      // guarantee) relies on when submitters race.
+    if (!draining_ && queue_.total_size() < cfg_.queue_capacity) {
+      // Timestamp under the lock: each lane's order == enqueue-time order,
+      // the invariant the window's arrival count (and window 0's
+      // serve-singly guarantee) relies on when submitters race.
       r.enqueue = clk().now();
       r.deadline = deadline_us == 0
                        ? Clock::time_point::max()
                        : r.enqueue + std::chrono::microseconds(deadline_us);
-      queue_.push_back(std::move(r));
-      depth = queue_.size();
+      queue_.push(lane, std::move(r));
+      depth = queue_.total_size();
       accepted = true;
     }
   }
@@ -159,9 +161,6 @@ std::future<Result> Server::enqueue(bnn::Tensor input,
 void Server::worker_loop(std::size_t worker_idx) {
   std::vector<Pending> batch;
   while (form_batch(batch)) {
-    if (cfg_.on_dequeue) {
-      cfg_.on_dequeue();  // queue capacity freed: external feeders may top up
-    }
     serve_batch(worker_idx, std::move(batch));
     batch.clear();
   }
@@ -182,27 +181,39 @@ void Server::wake_workers() {
 bool Server::form_batch(std::vector<Pending>& batch) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    cv_.wait(lock, [this] { return draining_ || !queue_.empty(); });
-    if (queue_.empty()) {
+    cv_.wait(lock, [this] { return draining_ || queue_.total_size() != 0; });
+    if (queue_.total_size() == 0) {
       return false;  // draining and fully drained
     }
     // Work-conserving, and draining under either policy: take what is
     // queued, full batches, no wait.
-    std::size_t live = std::min(queue_.size(), cfg_.max_batch);
+    std::size_t live = std::min(queue_.total_size(), cfg_.max_batch);
     if (cfg_.batching_window_us.has_value() && !draining_) {
-      // Fixed window: the batch is anchored on the current oldest
-      // request; it closes at max_batch or when that request's window
-      // expires. Anything the front changes under us (another worker
-      // popped it) we just recompute.
-      const auto close = queue_.front().enqueue +
-                         std::chrono::microseconds(*cfg_.batching_window_us);
-      // Only requests that arrived within the window of the oldest member
-      // join its batch (FIFO -> a queue prefix). Window 0 degenerates to
-      // singleton batches: the no-coalescing baseline.
+      // Fixed window: the batch is anchored on the oldest queued request
+      // (the oldest lane head); it closes at max_batch or when that
+      // request's window expires. Anything another worker pops under us
+      // we just recompute.
+      auto anchor = Clock::time_point::max();
+      for (std::size_t c = 0; c < kNumClasses; ++c) {
+        if (queue_.size(c) != 0) {
+          anchor = std::min(anchor, queue_.items(c).front().enqueue);
+        }
+      }
+      const auto close =
+          anchor + std::chrono::microseconds(*cfg_.batching_window_us);
+      // The batch holds as many requests as arrived, in any lane, within
+      // the anchor's window; DRR picks which. Taking each lane's in-window
+      // requests instead would serve the classes oldest-first and erase
+      // their weights. Window 0 degenerates to singleton batches: the
+      // no-coalescing baseline.
       live = 0;
-      while (live < queue_.size() && live < cfg_.max_batch &&
-             queue_[live].enqueue <= close) {
-        ++live;
+      for (std::size_t c = 0; c < kNumClasses; ++c) {
+        for (const Pending& r : queue_.items(c)) {
+          if (live == cfg_.max_batch || r.enqueue > close) {
+            break;
+          }
+          ++live;
+        }
       }
       if (live < cfg_.max_batch && clk().now() < close) {
         // Under-full batch inside its window: sleep until the window
@@ -216,10 +227,10 @@ bool Server::form_batch(std::vector<Pending>& batch) {
     batch.clear();
     batch.reserve(live);
     for (std::size_t i = 0; i < live; ++i) {
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
+      // live <= total_size(), so every pop yields an item.
+      batch.push_back(std::move(queue_.pop_next()->second));
     }
-    if (!queue_.empty()) {
+    if (queue_.total_size() != 0) {
       wake_workers();  // the remainder may already form the next batch
     }
     return true;
@@ -312,7 +323,7 @@ MetricsSnapshot Server::metrics() const {
 
 std::size_t Server::queue_depth() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
+  return queue_.total_size();
 }
 
 }  // namespace eb::serve

@@ -8,28 +8,40 @@
 /// BatchRunners:
 ///
 ///     submit(Tensor) -> future<Result>
-///          |                                    workers (N threads)
-///          v                                   +-> BatchRunner --+
-///     [ lock-guarded FIFO queue ] -- batches --+-> BatchRunner --+-> shared
-///       a free worker takes up to max_batch    +-> BatchRunner --+   pool
-///       queued requests at once (default), or
-///       closes a batch at max_batch / the end
-///       of a fixed batching window
+///     submit_async(Tensor, .., done, cls)        workers (N threads)
+///          |                                   +-> BatchRunner --+
+///          v                                   |                 |
+///     [ one FIFO lane per DeadlineClass ] -----+-> BatchRunner --+-> shared
+///       a free worker pops up to max_batch     |                 |   pool
+///       queued requests by weighted DRR        +-> BatchRunner --+
+///       (default), or closes a batch at
+///       max_batch / the end of a fixed window
 ///
 /// Policy details:
+///  * Class lanes: the queue holds one FIFO lane per DeadlineClass, and a
+///    worker picks every batch's members with weighted deficit round-robin
+///    (serve::WeightedDrrQueue, weights ServerConfig::class_weights), so
+///    under backlog the classes share batch slots in weight proportion.
+///    submit() and a submit_async() that names no class use the
+///    interactive lane: a server whose callers name no class is one FIFO.
+///    serve::Gateway hands each admitted request to its model's server
+///    under the request's class, so this is the only queue a gateway
+///    request waits in.
 ///  * Work-conserving (batching_window_us unset, the default): a free
-///    worker takes whatever is queued, up to max_batch, and never waits.
+///    worker pops whatever is queued, up to max_batch, and never waits.
 ///    A request that finds a worker idle is served at once; batches fill
 ///    only while every worker is busy, so batch size follows the load
 ///    (Clipper's adaptive batching, Crankshaw et al., NSDI'17).
 ///  * Fixed window (batching_window_us set, 0 included): a batch is
-///    anchored on the oldest queued request and closes at max_batch or
-///    when that request has waited the window, whichever comes first. A
-///    request joins only if it arrived within the window of the oldest
-///    member -- window 0 therefore means "no coalescing" (every request
-///    is served alone), the baseline the load bench compares against --
-///    so under sustained overload a batch holds at most
-///    ~window/inter-arrival-gap requests. Set a window only to trade
+///    anchored on the oldest queued request (the oldest lane head) and
+///    closes at max_batch or when that request has waited the window,
+///    whichever comes first. It holds as many requests as arrived, in any
+///    lane, within the anchor's window (at most max_batch), and DRR picks
+///    which ones; with one lane these are exactly the requests that
+///    arrived within the window. Window 0 therefore means "no coalescing"
+///    (every request is served alone), the baseline the load bench
+///    compares against, and under sustained overload a batch holds at
+///    most ~window/inter-arrival-gap requests. Set a window only to trade
 ///    light-load latency for fuller batches. queue_capacity and deadlines
 ///    are the overload backstops under either policy.
 ///  * Per-request deadlines: a request whose deadline has passed when its
@@ -38,8 +50,9 @@
 ///  * shutdown() stops admissions, drains the queue (window waits are
 ///    skipped while draining), and joins the workers; every accepted
 ///    request's future is fulfilled before shutdown() returns. Submissions
-///    after shutdown -- and submissions that find the queue at
-///    queue_capacity -- complete immediately with Status::kRejected.
+///    after shutdown -- and submissions that find the lanes holding
+///    queue_capacity requests -- complete immediately with
+///    Status::kRejected.
 ///
 /// All workers share one re-entrant ThreadPool: a batch's layer fan-out
 /// and any nested crossbar-shard parallel_for (mapped executors take the
@@ -52,11 +65,11 @@
 /// so serving is loss-free *and* reproducible under any interleaving.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -72,6 +85,7 @@
 #include "common/clock.hpp"
 #include "common/thread_pool.hpp"
 #include "serve/metrics.hpp"
+#include "serve/router.hpp"
 
 namespace eb::serve {
 
@@ -125,25 +139,23 @@ struct ServerConfig {
   std::size_t max_batch = 64;
   /// Unset: work-conserving -- a free worker takes up to max_batch queued
   /// requests at once and never waits. Set: a fixed window -- a batch
-  /// also closes when its oldest member has waited this long, and only
-  /// requests that arrived within it join; 0 disables coalescing (serve
-  /// singly), the no-batching baseline.
+  /// also closes when its oldest member has waited this long, and holds
+  /// as many requests as arrived within it (DRR picks which); 0 disables
+  /// coalescing (serve singly), the no-batching baseline.
   std::optional<std::uint64_t> batching_window_us;
   /// Worker threads, each forming + executing batches independently.
   std::size_t workers = 2;
   /// Shared pool concurrency for intra-batch fan-out (0 = EB_THREADS /
   /// hardware concurrency, 1 = inline).
   std::size_t pool_threads = 1;
-  /// submit() beyond this queue depth completes with kRejected
-  /// (backpressure instead of unbounded memory growth).
+  /// A submission that finds this many requests queued (all lanes
+  /// together) completes with kRejected (backpressure instead of
+  /// unbounded memory growth).
   std::size_t queue_capacity = 65536;
-  /// Deadline applied to submit(Tensor) without an explicit one; 0 = none.
-  std::uint64_t default_deadline_us = 0;
-  /// External-queue hook: invoked (outside the queue lock, from a worker
-  /// thread) every time a batch is popped and queue capacity frees up.
-  /// serve::Gateway uses it to top a shallow server queue back up from its
-  /// weighted admission queues without polling. Leave empty when unused.
-  std::function<void()> on_dequeue;
+  /// DRR weight (> 0) of each DeadlineClass lane, indexed by class: under
+  /// backlog the lanes share batch slots in these proportions.
+  /// serve::Gateway fills them from GatewayConfig::classes.
+  std::array<double, kNumClasses> class_weights{1.0, 1.0, 1.0};
   /// Time source for enqueue stamps, deadlines and batching-window waits.
   /// nullptr = eb::Clock::real(). Tests inject an eb::VirtualClock here to
   /// drive window expiry and deadline gates without wall-clock sleeps; the
@@ -174,18 +186,18 @@ class Server {
   Server(const Server&) = delete;             ///< Owns threads: not copyable.
   Server& operator=(const Server&) = delete;  ///< Owns threads: not copyable.
 
-  /// Enqueue one request under the default deadline. Always returns a
-  /// future that will be fulfilled: kOk with the output,
-  /// kDeadlineExceeded, or kRejected.
-  std::future<Result> submit(bnn::Tensor input);
-  /// Enqueue one request with an explicit deadline (microseconds from
-  /// submission; 0 = none).
-  std::future<Result> submit(bnn::Tensor input, std::uint64_t deadline_us);
-  /// Callback flavor of submit: `done` is invoked exactly once with the
-  /// terminal Result (inline when rejected on admission, from a worker
-  /// thread otherwise). Handler exceptions become kInternalError.
+  /// Enqueue one request on the interactive lane with a deadline in
+  /// microseconds from submission (0 = none). Always returns a future that
+  /// will be fulfilled: kOk with the output, kDeadlineExceeded, or
+  /// kRejected.
+  std::future<Result> submit(bnn::Tensor input, std::uint64_t deadline_us = 0);
+  /// Callback flavor of submit, on lane `cls`: `done` is invoked exactly
+  /// once with the terminal Result (inline when rejected on admission,
+  /// from a worker thread otherwise). Handler exceptions become
+  /// kInternalError.
   void submit_async(bnn::Tensor input, std::uint64_t deadline_us,
-                    Completion done);
+                    Completion done,
+                    DeadlineClass cls = DeadlineClass::kInteractive);
 
   /// Stop admissions, serve everything already queued, join workers.
   /// Idempotent; called by the destructor.
@@ -193,7 +205,7 @@ class Server {
 
   /// Consistent cut of the serving counters and latency distributions.
   [[nodiscard]] MetricsSnapshot metrics() const;
-  /// Requests currently queued (excludes in-flight batches).
+  /// Requests currently queued, all lanes (excludes in-flight batches).
   [[nodiscard]] std::size_t queue_depth() const;
   /// Configuration the server was built with.
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
@@ -215,6 +227,7 @@ class Server {
   [[nodiscard]] Clock& clk() const {
     return cfg_.clock != nullptr ? *cfg_.clock : Clock::real();
   }
+  // Adds the class lanes, then starts the workers that pop them.
   void start_workers();
   static void fulfil(Pending& r, Result res);
   void worker_loop(std::size_t worker_idx);
@@ -225,7 +238,8 @@ class Server {
   bool form_batch(std::vector<Pending>& batch);
   void serve_batch(std::size_t worker_idx, std::vector<Pending> batch);
   std::future<Result> enqueue(bnn::Tensor input, std::uint64_t deadline_us,
-                              Completion done, bool want_future);
+                              Completion done, bool want_future,
+                              DeadlineClass cls);
 
   ServerConfig cfg_;
   std::unique_ptr<ThreadPool> owned_pool_;  // null in shared-pool mode
@@ -237,7 +251,7 @@ class Server {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Pending> queue_;
+  WeightedDrrQueue<Pending> queue_;  // lane handle == DeadlineClass index
   bool draining_ = false;
   std::vector<std::thread> workers_;
   std::mutex join_mu_;  // serializes shutdown(); cannot hold mu_ across join

@@ -46,7 +46,7 @@
 /// stats requests (answered with the service's stats digest) and type-7
 /// model-admin requests (load/unload/list, answered with the service's
 /// WireService::handle_model_admin). All are served even while the
-/// gateway is saturated, since none enters the admission queues.
+/// gateway is saturated, since none enters a model server's queue.
 ///
 /// Scope: loopback/LAN transport for tests and benches (now C10K-capable
 /// -- see bench/frontend_load.cpp), still plain TCP, no TLS, no auth.

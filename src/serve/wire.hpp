@@ -170,7 +170,7 @@ struct StatsFrame {
   std::uint64_t deadline_exceeded = 0;  ///< Sum over classes.
   std::uint64_t errors = 0;       ///< kInternalError completions, summed.
   std::uint64_t invalid = 0;      ///< kInvalidArgument completions, summed.
-  std::uint64_t queue_depth = 0;  ///< Admission-queue population, summed.
+  std::uint64_t queue_depth = 0;  ///< Admitted, not completed; summed.
   /// Drift-monitor health (v3+): canary probes sent, probe rounds under
   /// the accuracy floor, online rewrites performed, and the duration of
   /// the latest rewrite. A balancer reads these to see a replica's

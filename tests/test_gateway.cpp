@@ -136,42 +136,34 @@ TEST(WeightedDrrQueue, DrainsBacklogInWeightProportion) {
   EXPECT_EQ(drr.total_size(), 800u - 200u);
 }
 
-TEST(WeightedDrrQueue, IneligibleQueuesKeepCreditEmptyOnesForfeitIt) {
-  WeightedDrrQueue<int> drr;
+// Lanes hold move-only items (serve::Server's requests carry a
+// std::promise): each lane pops in FIFO order, and two equal lanes split
+// every aligned pair of pops one each.
+TEST(WeightedDrrQueue, MoveOnlyLanesPopFifoAndEqualLanesAlternate) {
+  WeightedDrrQueue<std::unique_ptr<int>> drr;
   const std::size_t a = drr.add_queue(1.0);
   const std::size_t b = drr.add_queue(1.0);
   for (int i = 0; i < 10; ++i) {
-    drr.push(a, i);
-    drr.push(b, 100 + i);
+    drr.push(a, std::make_unique<int>(i));
+    drr.push(b, std::make_unique<int>(100 + i));
   }
-  // Mask queue b: every pop must come from a; b banks nothing it is owed
-  // beyond its weight once unmasked (no burst larger than its backlog).
-  for (int i = 0; i < 5; ++i) {
-    auto popped = drr.pop_next([&](std::size_t h) { return h == a; });
-    ASSERT_TRUE(popped.has_value());
-    EXPECT_EQ(popped->first, a);
+  EXPECT_EQ(*drr.items(a).front(), 0);
+  EXPECT_EQ(drr.size(b), 10u);
+  int next_a = 0;
+  int next_b = 100;
+  for (int pair = 0; pair < 10; ++pair) {
+    std::size_t from_a = 0;
+    for (int k = 0; k < 2; ++k) {
+      auto popped = drr.pop_next();
+      ASSERT_TRUE(popped.has_value());
+      const bool is_a = popped->first == a;
+      from_a += is_a ? 1 : 0;
+      EXPECT_EQ(*popped->second, is_a ? next_a++ : next_b++);
+    }
+    EXPECT_EQ(from_a, 1u) << "pair " << pair;
   }
-  // Unmask: service returns to 1:1 alternation.
-  std::size_t from_a = 0;
-  std::size_t from_b = 0;
-  for (int i = 0; i < 10; ++i) {
-    auto popped = drr.pop_next();
-    ASSERT_TRUE(popped.has_value());
-    (popped->first == a ? from_a : from_b) += 1;
-  }
-  EXPECT_EQ(from_b, 5u);
-  EXPECT_EQ(from_a, 5u);
-  // All blocked -> nullopt, nothing lost.
-  EXPECT_FALSE(
-      drr.pop_next([](std::size_t) { return false; }).has_value());
-  EXPECT_EQ(drr.total_size(), 5u);
-  // remove_queue returns the stragglers...
-  auto drained = drr.remove_queue(b);
-  const std::size_t left_in_a = drr.total_size();
-  EXPECT_EQ(drained.size() + left_in_a, 5u);
-  // ...and its slot is reused by the next registration (no unbounded
-  // growth under register/unregister churn).
-  EXPECT_EQ(drr.add_queue(2.0), b);
+  EXPECT_EQ(drr.total_size(), 0u);
+  EXPECT_FALSE(drr.pop_next().has_value());
 }
 
 // ----------------------------------------------------------------- routing --
@@ -501,10 +493,10 @@ TEST(Gateway, ShutdownDrainsAndRejectsLateSubmissions) {
   EXPECT_THROW(gw.register_model("late", net), Error);
 }
 
-// ------------------------------------------------------- pump-driven DRR --
+// ----------------------------------------------------- one queue per request --
 
-// Every admission and every server dequeue runs one pump; no dispatcher
-// thread or timer moves requests. A default ModelConfig (no batching
+// Admission hands each request straight to its model server's class lane;
+// no thread or timer moves requests. A default ModelConfig (no batching
 // window) on a frozen VirtualClock therefore serves a lone request with
 // no clock advance; the real-time wait_for guard turns a stall into a
 // failure rather than a hang.
@@ -541,10 +533,9 @@ std::vector<Tensor> slow_echo(std::span<const Tensor> batch) {
   return {batch.begin(), batch.end()};
 }
 
-// Concurrent pumps (one per submitter, plus the worker's on_dequeue) must
-// never forward more than the server queue holds: requests a pump popped
-// but has not yet forwarded count against the capacity, so nothing turns
-// into a server-side kRejected.
+// The gateway ignores a model's server queue_capacity (the class
+// partitions bound admission): concurrent submitters behind a capacity of
+// 1 or 2 are all served, and nothing turns into a server-side kRejected.
 TEST(Gateway, ConcurrentSubmittersNeverOverfillAShallowServerQueue) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 40;
@@ -587,8 +578,8 @@ TEST(Gateway, ConcurrentSubmittersNeverOverfillAShallowServerQueue) {
   }
 }
 
-// shutdown() waits until the pumps have forwarded a backlog many times
-// deeper than the server queue, then drains: every request is served.
+// shutdown() drains a backlog many times deeper than the model's server
+// queue_capacity: every admitted request is served.
 TEST(Gateway, ShutdownForwardsABacklogDeeperThanTheServerQueue) {
   constexpr std::size_t kBacklog = 40;
   GatewayConfig gcfg;
@@ -612,6 +603,79 @@ TEST(Gateway, ShutdownForwardsABacklogDeeperThanTheServerQueue) {
     EXPECT_EQ(futs[i].get().status, Status::kOk) << "request " << i;
   }
   EXPECT_EQ(gw.metrics().models.at(0).server.completed, kBacklog);
+}
+
+// unregister_model() drains the model's server, and every admitted
+// request waits there: none completes kRejected, however deep the
+// backlog is against the server's queue_capacity.
+TEST(Gateway, UnregisterServesEveryAdmittedRequest) {
+  constexpr std::size_t kAdmitted = 10;
+  Gateway gw;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ModelConfig mcfg;
+  mcfg.server.queue_capacity = 2;
+  gw.register_model(
+      "parked",
+      [released](std::span<const Tensor> batch,
+                 ThreadPool&) -> std::vector<Tensor> {
+        released.wait();
+        return {batch.begin(), batch.end()};
+      },
+      mcfg);
+  std::vector<std::future<Result>> futs;
+  for (std::size_t i = 0; i < kAdmitted; ++i) {
+    futs.push_back(
+        gw.submit("parked", Tensor({1}), DeadlineClass::kBestEffort));
+  }
+  std::thread unregister([&] { EXPECT_TRUE(gw.unregister_model("parked")); });
+  while (gw.has_model("parked")) {
+    std::this_thread::yield();
+  }
+  release.set_value();
+  unregister.join();
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    EXPECT_EQ(futs[i].get().status, Status::kOk) << "request " << i;
+  }
+}
+
+// A class's queue_capacity bounds its requests admitted and not yet
+// completed; completions free the slots again.
+TEST(Gateway, ClassPartitionBoundsAdmittedRequests) {
+  constexpr auto kCls = DeadlineClass::kBatch;
+  const auto c = static_cast<std::size_t>(kCls);
+  GatewayConfig gcfg;
+  for (auto& cls : gcfg.classes) {
+    cls.default_deadline_us = 0;
+  }
+  gcfg.classes[c].queue_capacity = 3;
+  Gateway gw(gcfg);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  gw.register_model(
+      "parked",
+      [released](std::span<const Tensor> batch,
+                 ThreadPool&) -> std::vector<Tensor> {
+        released.wait();
+        return {batch.begin(), batch.end()};
+      });
+  std::vector<std::future<Result>> futs;
+  for (int i = 0; i < 5; ++i) {
+    futs.push_back(gw.submit("parked", Tensor({1}), kCls));
+  }
+  for (std::size_t i = 3; i < futs.size(); ++i) {
+    ASSERT_EQ(futs[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << i << " was not rejected inline";
+    EXPECT_EQ(futs[i].get().status, Status::kRejected) << "request " << i;
+  }
+  EXPECT_EQ(gw.metrics().classes[c].queue_depth, 3u);
+  release.set_value();
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(futs[i].get().status, Status::kOk) << "request " << i;
+  }
+  EXPECT_EQ(gw.metrics().classes[c].queue_depth, 0u);
+  EXPECT_EQ(gw.submit("parked", Tensor({1}), kCls).get().status, Status::kOk);
 }
 
 // ------------------------------------------------------------------- wire --

@@ -11,12 +11,15 @@
 //    batches fill only while workers are busy; with a window set, a batch
 //    closes at max_batch or when the oldest member's window expires,
 //    whichever first -- and window 0 means singleton batches;
+//  * the per-class lanes share batch slots in weight proportion, and a
+//    window counts arrivals across lanes;
 //  * expired requests complete with kDeadlineExceeded, never dropped;
 //  * shutdown() drains: every accepted request's future is fulfilled;
 //  * the whole suite is run by CI under EB_THREADS=1 and 4 and under
 //    ThreadSanitizer (the queue is the first real producer/consumer path).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -371,6 +374,151 @@ TEST(Server, UnsetWindowBatchesOnlyWhileTheWorkerIsBusy) {
   EXPECT_EQ(m.batches, 3u);
 }
 
+// ---------------------------------------------------------- class lanes --
+
+using serve::DeadlineClass;
+
+// Submits a request on lane `cls`, tagged with its lane so a handler can
+// tell the lanes apart; the future resolves with its Result.
+std::future<Result> submit_on_lane(Server& server, DeadlineClass cls) {
+  auto p = std::make_shared<std::promise<Result>>();
+  auto fut = p->get_future();
+  server.submit_async(Tensor({1}, {static_cast<double>(cls)}), 0,
+                      [p](Result r) { p->set_value(std::move(r)); }, cls);
+  return fut;
+}
+
+// One worker whose first batch parks on `gate`: requests submitted while
+// it is parked all wait in the lanes, and each later batch is recorded
+// as the lane tags of its members.
+struct ParkedLaneServer {
+  explicit ParkedLaneServer(ServerConfig cfg)
+      : server(
+            [this](std::span<const Tensor> batch,
+                   ThreadPool&) -> std::vector<Tensor> {
+              if (first_call.exchange(false)) {
+                entered.set_value();
+                gate.wait();
+              } else {
+                std::vector<DeadlineClass> tags;
+                for (const Tensor& t : batch) {
+                  tags.push_back(
+                      static_cast<DeadlineClass>(static_cast<int>(t[0])));
+                }
+                const std::lock_guard<std::mutex> lock(mu);
+                batches.push_back(std::move(tags));
+              }
+              return {batch.begin(), batch.end()};
+            },
+            cfg) {}
+
+  // Parks the worker on a plug request; false if it never started.
+  bool park() {
+    plug = server.submit(Tensor({1}));
+    return entered.get_future().wait_for(kGuard) == std::future_status::ready;
+  }
+
+  // Queues `per_lane` requests on each of the interactive and batch
+  // lanes, alternately.
+  std::vector<std::future<Result>> preload(std::size_t per_lane) {
+    std::vector<std::future<Result>> futs;
+    for (std::size_t i = 0; i < per_lane; ++i) {
+      for (const auto cls :
+           {DeadlineClass::kInteractive, DeadlineClass::kBatch}) {
+        futs.push_back(submit_on_lane(server, cls));
+      }
+    }
+    return futs;
+  }
+
+  Gate gate;
+  std::promise<void> entered;
+  std::atomic<bool> first_call{true};
+  std::mutex mu;
+  std::vector<std::vector<DeadlineClass>> batches;
+  std::future<Result> plug;
+  Server server;  // last: its workers stop before the members above go
+};
+
+ServerConfig lane_config(std::size_t max_batch) {
+  ServerConfig cfg;
+  cfg.max_batch = max_batch;
+  cfg.workers = 1;
+  cfg.class_weights = {3.0, 1.0, 1.0};
+  return cfg;
+}
+
+TEST(Server, ClassLanesServeBackloggedClassesInWeightProportion) {
+  constexpr std::size_t kPerLane = 40;
+  ServerConfig cfg = lane_config(1);
+  cfg.batching_window_us = 0;
+  ParkedLaneServer s(cfg);
+  const bool parked = s.park();
+  auto futs = s.preload(kPerLane);
+  s.gate.open();
+  ASSERT_TRUE(parked) << "the plug request did not start";
+  for (auto& f : futs) {
+    ASSERT_TRUE(ready_within_guard(f));
+    EXPECT_EQ(f.get().status, Status::kOk);
+  }
+  // Both lanes stay backlogged for the first kPerLane services (the
+  // interactive lane alone cannot drain sooner): weights 3:1 split them
+  // exactly 3:1.
+  ASSERT_EQ(s.batches.size(), 2 * kPerLane);
+  std::size_t interactive = 0;
+  for (std::size_t i = 0; i < kPerLane; ++i) {
+    ASSERT_EQ(s.batches[i].size(), 1u);
+    interactive += s.batches[i][0] == DeadlineClass::kInteractive ? 1 : 0;
+  }
+  EXPECT_EQ(interactive, kPerLane * 3 / 4);
+}
+
+TEST(Server, WorkConservingBatchesTakeTheirMembersByWeight) {
+  ParkedLaneServer s(lane_config(8));  // window unset: work-conserving
+  const bool parked = s.park();
+  auto futs = s.preload(8);
+  s.gate.open();
+  ASSERT_TRUE(parked) << "the plug request did not start";
+  for (auto& f : futs) {
+    ASSERT_TRUE(ready_within_guard(f));
+    EXPECT_EQ(f.get().status, Status::kOk);
+  }
+  ASSERT_GE(s.batches.size(), 1u);
+  const auto& first = s.batches[0];
+  ASSERT_EQ(first.size(), 8u);
+  const auto interactive = static_cast<std::size_t>(
+      std::count(first.begin(), first.end(), DeadlineClass::kInteractive));
+  EXPECT_EQ(interactive, 6u);
+  EXPECT_EQ(first.size() - interactive, 2u);
+}
+
+TEST(Server, WindowCountsArrivalsAcrossLanes) {
+  VirtualClock vclock;
+  ServerConfig cfg;
+  cfg.max_batch = 64;
+  cfg.batching_window_us = 50'000;  // 50 ms (virtual)
+  cfg.workers = 1;
+  cfg.clock = &vclock;
+  Server server(
+      [](std::span<const Tensor> batch, ThreadPool&) -> std::vector<Tensor> {
+        return {batch.begin(), batch.end()};
+      },
+      cfg);
+  std::vector<std::future<Result>> futs;
+  for (const auto cls : {DeadlineClass::kInteractive, DeadlineClass::kBatch,
+                         DeadlineClass::kInteractive}) {
+    futs.push_back(submit_on_lane(server, cls));
+  }
+  vclock.advance_us(50'000);  // expire the anchor's window
+  for (auto& f : futs) {
+    ASSERT_TRUE(ready_within_guard(f));
+    const Result res = f.get();
+    ASSERT_EQ(res.status, Status::kOk);
+    EXPECT_EQ(res.batch_size, 3u);  // one batch across both lanes
+    EXPECT_GE(res.queue_us, 50'000.0);
+  }
+}
+
 // ------------------------------------------------------ deadlines / drain --
 
 TEST(Server, ExpiredRequestsCompleteWithDeadlineExceeded) {
@@ -441,8 +589,6 @@ TEST(Server, SubmitAsyncDeliversCallbackOnExternalSharedPool) {
   cfg.max_batch = 4;
   cfg.batching_window_us = 300;
   cfg.workers = 2;
-  std::atomic<std::size_t> dequeues{0};
-  cfg.on_dequeue = [&] { dequeues.fetch_add(1); };
   Server server(net, shared_pool, cfg);  // shared-pool ctor
   EXPECT_EQ(&server.pool(), &shared_pool);
 
@@ -465,7 +611,6 @@ TEST(Server, SubmitAsyncDeliversCallbackOnExternalSharedPool) {
     ASSERT_EQ(res.status, Status::kOk) << "sample " << i;
     expect_tensors_equal(res.output, net.forward(inputs[i]), i);
   }
-  EXPECT_GE(dequeues.load(), 1u);  // external-queue hook fired per batch
 }
 
 TEST(Server, CallbackModeHandlerExceptionBecomesInternalError) {
