@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -361,6 +362,61 @@ void BM_OpticalWdmExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_OpticalWdmExecute)->Arg(1)->Arg(4)->Arg(16);
 
+// -- optical WDM sweep candidates ------------------------------------------
+//
+// One single-threaded OpticalCrossbar::wdm_powers pass per iteration, for
+// every sweep candidate the host supports (BM_OpticalWdmPass/<candidate>/
+// <K>), at the repository benchmark's wdm-mapped shape: MLP-S fc2 (m 500,
+// n 250) on 512x512 crossbars, so the first row segment is 512 driven-or-
+// not rows of [x ; ~x] and 250 programmed columns. K channels ride the
+// pass with ideal readout; items are channels, so items/s inverts to the
+// time per channel per shard.
+
+struct WdmPassFixture {
+  eb::xbar::OpticalCrossbar xb{{512, 512}, eb::dev::OpcmParams::ideal()};
+  std::vector<eb::BitVec> drives;
+
+  WdmPassFixture() {
+    eb::Rng rng(0x3d);
+    const auto task = eb::map::XnorPopcountTask::random(500, 250, 16, rng);
+    for (std::size_t j = 0; j < task.weights.rows(); ++j) {
+      xb.program_column(
+          j, eb::map::tacit_column_stack(task.weights.row(j)).slice(0, 512));
+    }
+    for (const auto& x : task.inputs) {
+      drives.push_back(eb::map::tacit_row_drive(x).slice(0, 512));
+    }
+  }
+};
+
+void run_wdm_pass(benchmark::State& state, const eb::xbar::WdmKernel& kernel,
+                  std::size_t channels) {
+  static const WdmPassFixture f;
+  const std::span<const eb::BitVec> drives(f.drives.data(), channels);
+  eb::RngStream rng(0x3e);
+  const std::vector<eb::RngStream*> rngs(channels, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        f.xb.wdm_powers(kernel, drives, 1.0, kNoNoise, rngs));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(channels));
+}
+
+void register_wdm_pass_benchmarks() {
+  for (const auto& kernel : eb::xbar::wdm_kernels()) {
+    if (!kernel.supported) {
+      continue;
+    }
+    for (const std::size_t channels : {1, 16}) {
+      const std::string name = std::string("BM_OpticalWdmPass/") +
+                               kernel.name + "/" + std::to_string(channels);
+      benchmark::RegisterBenchmark(name.c_str(), run_wdm_pass, kernel,
+                                   channels);
+    }
+  }
+}
+
 // -- real-valued GEMM candidates -------------------------------------------
 //
 // One single-threaded real_gemm_bias call per iteration, for every
@@ -698,6 +754,7 @@ int run_google_benchmarks(int argc, char** argv) {
     }
   }
   register_real_gemm_benchmarks();
+  register_wdm_pass_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;

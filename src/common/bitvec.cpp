@@ -1,5 +1,6 @@
 #include "common/bitvec.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/error.hpp"
@@ -60,11 +61,19 @@ BitVec BitVec::complemented() const {
 
 BitVec BitVec::concat(const BitVec& tail) const {
   BitVec out(size_ + tail.size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.set(i, get(i));
-  }
-  for (std::size_t i = 0; i < tail.size_; ++i) {
-    out.set(size_ + i, tail.get(i));
+  std::copy(words_.begin(), words_.end(), out.words_.begin());
+  // `tail` lands at bit size_: each of its words splits across two output
+  // words. Both inputs' padding is zero, so the ORs never set a bit past
+  // the new size, and a tail word's high part only spills into a word
+  // that exists when it carries a set bit.
+  const std::size_t base = size_ / 64;
+  const std::size_t shift = size_ % 64;
+  for (std::size_t i = 0; i < tail.words_.size(); ++i) {
+    const std::uint64_t w = tail.words_[i];
+    out.words_[base + i] |= w << shift;
+    if (shift != 0 && base + i + 1 < out.words_.size()) {
+      out.words_[base + i + 1] |= w >> (64 - shift);
+    }
   }
   return out;
 }
@@ -111,9 +120,18 @@ long long BitVec::signed_dot(const BitVec& other) const {
 BitVec BitVec::slice(std::size_t begin, std::size_t len) const {
   EB_REQUIRE(begin + len <= size_, "slice out of range");
   BitVec out(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    out.set(i, get(begin + i));
+  // Output word i is the 64 bits starting at begin + 64 i: the high part
+  // of one source word joined with the low part of the next.
+  const std::size_t shift = begin % 64;
+  for (std::size_t i = 0; i < out.words_.size(); ++i) {
+    const std::size_t q = begin / 64 + i;
+    std::uint64_t w = words_[q] >> shift;
+    if (shift != 0 && q + 1 < words_.size()) {
+      w |= words_[q + 1] << (64 - shift);
+    }
+    out.words_[i] = w;
   }
+  out.mask_tail();
   return out;
 }
 

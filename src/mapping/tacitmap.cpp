@@ -219,24 +219,28 @@ std::vector<std::vector<std::size_t>> TacitMapOptical::wdm_pass(
   const double p_on = crossbars_.front()->on_power(p_ch);
   const double p_off = crossbars_.front()->off_power(p_ch);
 
-  // Per-segment, per-channel drives and active counts, shared read-only
-  // across the shards of each segment. The full 2m-bit drive is built
-  // once per channel and then sliced per segment (this runs serially
-  // before dispatch, so it must stay off the Amdahl path).
-  std::vector<std::vector<BitVec>> seg_drives(part_.row_segments.size());
-  std::vector<std::vector<std::size_t>> seg_active(
-      part_.row_segments.size());
-  for (std::size_t s = 0; s < part_.row_segments.size(); ++s) {
-    seg_drives[s].reserve(n_channels);
-    seg_active[s].reserve(n_channels);
-  }
-  for (const auto& x : inputs) {
-    const BitVec drive = tacit_row_drive(x);
-    for (std::size_t s = 0; s < part_.row_segments.size(); ++s) {
+  // Per-segment drives of the channels that drive the segment at all,
+  // with their channel indices and active counts, shared read-only across
+  // the shards of each segment. The full 2m-bit drive is built once per
+  // channel and then sliced per segment (this runs serially before
+  // dispatch, so it must stay off the Amdahl path). A channel whose
+  // segment drive is empty contributes nothing there and draws nothing.
+  const std::size_t n_segments = part_.row_segments.size();
+  std::vector<std::vector<BitVec>> seg_drives(n_segments);
+  std::vector<std::vector<std::size_t>> seg_channels(n_segments);
+  std::vector<std::vector<std::size_t>> seg_active(n_segments);
+  for (std::size_t k = 0; k < n_channels; ++k) {
+    const BitVec drive = tacit_row_drive(inputs[k]);
+    for (std::size_t s = 0; s < n_segments; ++s) {
       const Range seg = part_.row_segments[s];
       BitVec d = drive.slice(seg.begin, seg.length);
-      seg_active[s].push_back(d.popcount());
+      const std::size_t active = d.popcount();
+      if (active == 0) {
+        continue;
+      }
       seg_drives[s].push_back(std::move(d));
+      seg_channels[s].push_back(k);
+      seg_active[s].push_back(active);
     }
   }
 
@@ -246,27 +250,40 @@ std::vector<std::vector<std::size_t>> TacitMapOptical::wdm_pass(
   // from one shared shard stream. A channel's noise sequence is therefore
   // a pure function of its input's base and the shard index: identical
   // whether the input rides a crowded WDM pass or a single-channel one.
+  // Each shard reads all its channels in one wdm_powers pass (one sweep
+  // of the crossbar's cell table); channel k's stream first noises its
+  // column powers, then feeds its receiver decodes.
   const CrossbarScheduler scheduler(pool);
   scheduler.run_raw(
-      part_.row_segments.size(), n_tiles,
+      n_segments, n_tiles,
       [&](const Shard& shard) {
         const Range tile = part_.col_tiles[shard.tile];
         const auto& xb = *crossbars_[shard.segment * n_tiles + shard.tile];
+        const auto& channels = seg_channels[shard.segment];
         std::vector<std::vector<std::size_t>> partial(
             n_channels, std::vector<std::size_t>(tile.length, 0));
-        for (std::size_t k = 0; k < n_channels; ++k) {
-          const std::size_t active = seg_active[shard.segment][k];
-          if (active == 0) {
-            continue;  // segment contributes nothing for this input
-          }
-          RngStream ch_rng = bases[k].fork(
+        if (channels.empty()) {
+          return partial;
+        }
+        std::vector<RngStream> ch_rngs;
+        std::vector<RngStream*> rngs;
+        ch_rngs.reserve(channels.size());  // no reallocation moves a stream
+        for (const std::size_t k : channels) {
+          ch_rngs.push_back(bases[k].fork(
               static_cast<std::uint64_t>(StreamTag::TacitOptical),
-              shard.index, 0);
-          const auto powers = xb.vmm_powers(seg_drives[shard.segment][k],
-                                            p_ch, noise, ch_rng);
-          const phot::Receiver rx(cfg_.rx, active, p_on, p_off);
+              shard.index, 0));
+          rngs.push_back(&ch_rngs.back());
+        }
+        const auto powers =
+            xb.wdm_powers(seg_drives[shard.segment], p_ch, noise, rngs);
+        const std::size_t cols = cfg_.dims.cols;
+        for (std::size_t i = 0; i < channels.size(); ++i) {
+          const phot::Receiver rx(cfg_.rx, seg_active[shard.segment][i], p_on,
+                                  p_off);
+          auto& counts = partial[channels[i]];
           for (std::size_t j = 0; j < tile.length; ++j) {
-            partial[k][j] = rx.decode_popcount(powers[j], noise, ch_rng);
+            counts[j] =
+                rx.decode_popcount(powers[i * cols + j], noise, ch_rngs[i]);
           }
         }
         return partial;

@@ -30,7 +30,11 @@
 /// deterministically. Every shard draws read-noise from its own RngStream
 /// derived from the caller's stream -- per shard for the electrical path,
 /// per (shard, wavelength channel) for the optical one -- so noisy results
-/// are bit-identical for any thread count and any WDM batch tiling.
+/// are bit-identical for any thread count and any WDM batch tiling. An
+/// optical shard reads all of its pass's wavelength channels at once, in
+/// one OpticalCrossbar::wdm_powers sweep of the crossbar's cell table, as
+/// the hardware does; a channel whose segment drive is empty is left out
+/// of the sweep and draws nothing.
 #pragma once
 
 #include <cstddef>
@@ -196,7 +200,8 @@ class TacitMapOptical final : public MappedExecutor {
  private:
   // One WDM pass over `inputs` (<= wdm_capacity of them) where inputs[i]
   // draws every stochastic sample from streams forked off bases[i] --
-  // the shared core of execute_wdm and execute_batch.
+  // the shared core of execute_wdm and execute_batch. Each shard makes one
+  // wdm_powers call for all its channels.
   [[nodiscard]] std::vector<std::vector<std::size_t>> wdm_pass(
       std::span<const BitVec> inputs, const dev::NoiseModel& noise,
       std::span<const RngStream> bases, ThreadPool* pool) const;

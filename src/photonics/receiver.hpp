@@ -38,7 +38,8 @@ class Receiver {
 
   // Converts one column's received optical power into a popcount estimate:
   // TIA (+noise) -> ADC -> digital calibration. Exact for ideal devices
-  // and zero noise.
+  // and zero noise. Builds nothing: the TIA, its full scale and the
+  // calibration terms are fixed at construction.
   [[nodiscard]] std::size_t decode_popcount(double power_mw,
                                             const dev::NoiseModel& noise,
                                             RngStream& rng) const;
@@ -56,9 +57,11 @@ class Receiver {
  private:
   ReceiverParams params_;
   std::size_t rows_;
-  double p_on_;
-  double p_off_;
   xbar::Adc adc_;
+  xbar::Tia tia_;
+  double full_scale_;  // tia_gain * rows * p_on: the TIA noise reference
+  double rows_p_off_;  // rows * p_off: the all-OFF pedestal
+  double contrast_;    // p_on - p_off
 };
 
 }  // namespace eb::phot

@@ -1,9 +1,324 @@
 #include "xbar/crossbar.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <string>
+
 #include "common/error.hpp"
 #include "xbar/periph.hpp"
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define EB_WDM_X86 1
+#endif
+
+// No contraction of a product and a sum into a fused multiply-add
+// anywhere below (see crossbar.hpp). After the includes, so it applies to
+// this file's functions only.
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
+
 namespace eb::xbar {
+
+// One WDM pass over an optical cell table. A kernel adds into
+// out[k * cols + c], which the caller zero-fills, channel k's terms
+// (p * t) -- ((p * t) * f) when f is set -- over the rows drives[k] sets,
+// in ascending row order.
+struct WdmSweep {
+  const double* t;  // cell table, row-major, row stride cols
+  const double* f;  // imposed drift factors, same layout; nullptr if none
+  std::size_t cols;
+  double p;                        // per-channel drive power, mW
+  std::span<const BitVec> drives;  // channel k's driven rows
+  std::size_t words;               // 64-row words of the longest drive
+  double* out;                     // channels x cols, channel-major
+};
+
+namespace {
+
+// Rows per chunk of a sweep, in 64-row drive words. A column block spans
+// every row of the table at a stride of cols doubles (4 KB at 512
+// columns), which maps the whole block onto a few cache sets; over 128
+// rows it stays cached while the next channel, or channel group, re-reads
+// it. Column sums are stored at the end of a chunk and reloaded at the
+// start of the next, so each stays in ascending row order.
+constexpr std::size_t kChunkWords = 2;
+
+// Word w of a drive; 0 past its end.
+std::uint64_t drive_word(const BitVec& d, std::size_t w) {
+  return w < d.words().size() ? d.words()[w] : 0;
+}
+
+// ------------------------------------------------------------ portable --
+// Row chunks, then blocks of 16 columns, then channels: a channel holds
+// its 16 column sums in eight V2 registers (a GNU vector: one SSE2 or
+// NEON register; plain scalars on targets without one) while it walks
+// the rows its drive sets in the chunk, forming each row's p * t itself.
+// The last cols mod 16 columns are summed one at a time.
+using V2 = double __attribute__((vector_size(2 * sizeof(double))));
+
+V2 load2(const double* p) {
+  V2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+constexpr std::size_t kPortableLanes = 8;  // V2 registers per block
+constexpr std::size_t kPortableBlock = 2 * kPortableLanes;
+
+// Channel d's rows of the chunk of words [w0, w1) over the block at c0.
+template <bool Drift>
+void portable_block(const WdmSweep& s, const BitVec& d, std::size_t w0,
+                    std::size_t w1, std::size_t c0, double* out) {
+  const V2 p = {s.p, s.p};
+  V2 acc[kPortableLanes];
+  std::memcpy(acc, out + c0, sizeof acc);
+  for (std::size_t w = w0; w < w1; ++w) {
+    for (std::uint64_t bits = drive_word(d, w); bits != 0; bits &= bits - 1) {
+      const std::size_t r =
+          64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+      const std::size_t at = r * s.cols + c0;
+      for (std::size_t j = 0; j < kPortableLanes; ++j) {
+        V2 pt = p * load2(s.t + at + 2 * j);
+        if constexpr (Drift) {
+          pt = pt * load2(s.f + at + 2 * j);
+        }
+        acc[j] += pt;
+      }
+    }
+  }
+  std::memcpy(out + c0, acc, sizeof acc);
+}
+
+template <bool Drift>
+void portable_column(const WdmSweep& s, const BitVec& d, std::size_t w0,
+                     std::size_t w1, std::size_t c, double* out) {
+  double acc = out[c];
+  for (std::size_t w = w0; w < w1; ++w) {
+    for (std::uint64_t bits = drive_word(d, w); bits != 0; bits &= bits - 1) {
+      const std::size_t r =
+          64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+      const std::size_t at = r * s.cols + c;
+      double pt = s.p * s.t[at];
+      if constexpr (Drift) {
+        pt = pt * s.f[at];
+      }
+      acc += pt;
+    }
+  }
+  out[c] = acc;
+}
+
+template <bool Drift>
+void portable_sweep(const WdmSweep& s) {
+  for (std::size_t w0 = 0; w0 < s.words; w0 += kChunkWords) {
+    const std::size_t w1 = std::min(s.words, w0 + kChunkWords);
+    std::size_t c0 = 0;
+    for (; c0 + kPortableBlock <= s.cols; c0 += kPortableBlock) {
+      for (std::size_t k = 0; k < s.drives.size(); ++k) {
+        portable_block<Drift>(s, s.drives[k], w0, w1, c0,
+                              s.out + k * s.cols);
+      }
+    }
+    for (; c0 < s.cols; ++c0) {
+      for (std::size_t k = 0; k < s.drives.size(); ++k) {
+        portable_column<Drift>(s, s.drives[k], w0, w1, c0,
+                               s.out + k * s.cols);
+      }
+    }
+  }
+}
+
+void sweep_portable(const WdmSweep& s) {
+  if (s.f != nullptr) {
+    portable_sweep<true>(s);
+  } else {
+    portable_sweep<false>(s);
+  }
+}
+
+#ifdef EB_WDM_X86
+// ------------------------------------------------------------- avx512f --
+// Row chunks, then blocks of 32 columns (four zmm per channel), then
+// channel groups of min(kGroup, channels left), so a one-input pass does
+// no masked-off work. A group of G channels holds 4G column sums in
+// registers; each row the group drives has its p * t formed once and
+// added into the sums of every channel of the group, where a channel that
+// does not drive the row keeps its lanes through a masked add. The last,
+// partial block loads and stores through column masks.
+constexpr std::size_t kAvxBlock = 32;
+constexpr std::size_t kGroup = 4;
+
+// A row that some channel of a group drives: bit g of `channels` is set
+// when the group's channel g drives it.
+struct DrivenRow {
+  std::size_t row;
+  std::uint32_t channels;
+};
+
+template <std::size_t G, bool Drift, bool Masked>
+__attribute__((target("avx512f"), always_inline)) inline void avx512_group(
+    const WdmSweep& s, const DrivenRow* rows, const DrivenRow* rows_end,
+    std::size_t c0, const __mmask8* m, double* out) {
+  __m512d acc[G][4];
+  for (std::size_t g = 0; g < G; ++g) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      const double* o = out + g * s.cols + c0 + 8 * j;
+      acc[g][j] = Masked ? _mm512_maskz_loadu_pd(m[j], o) : _mm512_loadu_pd(o);
+    }
+  }
+  const __m512d p = _mm512_set1_pd(s.p);
+  for (const DrivenRow* d = rows; d != rows_end; ++d) {
+    const std::size_t at = d->row * s.cols + c0;
+    __m512d pt[4];
+    for (std::size_t j = 0; j < 4; ++j) {
+      const double* t = s.t + at + 8 * j;
+      pt[j] = _mm512_mul_pd(p, Masked ? _mm512_maskz_loadu_pd(m[j], t)
+                                      : _mm512_loadu_pd(t));
+      if constexpr (Drift) {
+        const double* f = s.f + at + 8 * j;
+        pt[j] = _mm512_mul_pd(pt[j], Masked ? _mm512_maskz_loadu_pd(m[j], f)
+                                            : _mm512_loadu_pd(f));
+      }
+    }
+    if constexpr (G == 1) {
+      for (std::size_t j = 0; j < 4; ++j) {
+        acc[0][j] = _mm512_add_pd(acc[0][j], pt[j]);
+      }
+    } else {
+      for (std::size_t g = 0; g < G; ++g) {
+        const auto on = static_cast<__mmask8>(
+            -static_cast<int>((d->channels >> g) & 1u));
+        for (std::size_t j = 0; j < 4; ++j) {
+          acc[g][j] = _mm512_mask_add_pd(acc[g][j], on, acc[g][j], pt[j]);
+        }
+      }
+    }
+  }
+  for (std::size_t g = 0; g < G; ++g) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      double* o = out + g * s.cols + c0 + 8 * j;
+      if constexpr (Masked) {
+        _mm512_mask_storeu_pd(o, m[j], acc[g][j]);
+      } else {
+        _mm512_storeu_pd(o, acc[g][j]);
+      }
+    }
+  }
+}
+
+// Every channel group over the 32 columns from c0, group g on the rows
+// [rows + bounds[g], rows + bounds[g + 1]).
+template <bool Drift, bool Masked>
+__attribute__((target("avx512f"))) void avx512_block(
+    const WdmSweep& s, const DrivenRow* rows, const std::size_t* bounds,
+    std::size_t c0, const __mmask8* m) {
+  const std::size_t channels = s.drives.size();
+  for (std::size_t g = 0, k0 = 0; k0 < channels; ++g, k0 += kGroup) {
+    const DrivenRow* lo = rows + bounds[g];
+    const DrivenRow* hi = rows + bounds[g + 1];
+    double* out = s.out + k0 * s.cols;
+    switch (std::min(kGroup, channels - k0)) {
+      case 1:
+        avx512_group<1, Drift, Masked>(s, lo, hi, c0, m, out);
+        break;
+      case 2:
+        avx512_group<2, Drift, Masked>(s, lo, hi, c0, m, out);
+        break;
+      case 3:
+        avx512_group<3, Drift, Masked>(s, lo, hi, c0, m, out);
+        break;
+      default:
+        avx512_group<4, Drift, Masked>(s, lo, hi, c0, m, out);
+        break;
+    }
+  }
+}
+
+template <bool Drift>
+void avx512_sweep(const WdmSweep& s) {
+  // Each chunk's driven rows, group after group, ascending within a
+  // group: the union of the group's drive words with one channel bit per
+  // row. Chunk i's group g holds rows[bounds[i * groups + g]] up to
+  // rows[bounds[i * groups + g + 1]].
+  const std::size_t channels = s.drives.size();
+  const std::size_t groups = (channels + kGroup - 1) / kGroup;
+  const std::size_t chunks = (s.words + kChunkWords - 1) / kChunkWords;
+  std::vector<DrivenRow> rows;
+  std::vector<std::size_t> bounds;
+  for (std::size_t i = 0; i < chunks; ++i) {
+    for (std::size_t k0 = 0; k0 < channels; k0 += kGroup) {
+      bounds.push_back(rows.size());
+      const std::size_t width = std::min(kGroup, channels - k0);
+      for (std::size_t w = i * kChunkWords;
+           w < std::min(s.words, (i + 1) * kChunkWords); ++w) {
+        std::uint64_t bits[kGroup] = {};
+        std::uint64_t any = 0;
+        for (std::size_t g = 0; g < width; ++g) {
+          bits[g] = drive_word(s.drives[k0 + g], w);
+          any |= bits[g];
+        }
+        for (; any != 0; any &= any - 1) {
+          const auto b = static_cast<unsigned>(std::countr_zero(any));
+          std::uint32_t on = 0;
+          for (std::size_t g = 0; g < width; ++g) {
+            on |= static_cast<std::uint32_t>((bits[g] >> b) & 1u) << g;
+          }
+          rows.push_back({64 * w + b, on});
+        }
+      }
+    }
+  }
+  bounds.push_back(rows.size());
+
+  const __mmask8 full[4] = {0xFF, 0xFF, 0xFF, 0xFF};
+  __mmask8 tail[4];
+  const std::size_t left = s.cols % kAvxBlock;
+  for (std::size_t j = 0; j < 4; ++j) {
+    const std::size_t lanes = std::min<std::size_t>(
+        8, left > 8 * j ? left - 8 * j : 0);
+    tail[j] = static_cast<__mmask8>((1u << lanes) - 1u);
+  }
+  for (std::size_t i = 0; i < chunks; ++i) {
+    const std::size_t* chunk = bounds.data() + i * groups;
+    std::size_t c0 = 0;
+    for (; c0 + kAvxBlock <= s.cols; c0 += kAvxBlock) {
+      avx512_block<Drift, false>(s, rows.data(), chunk, c0, full);
+    }
+    if (c0 < s.cols) {
+      avx512_block<Drift, true>(s, rows.data(), chunk, c0, tail);
+    }
+  }
+}
+
+void sweep_avx512(const WdmSweep& s) {
+  if (s.f != nullptr) {
+    avx512_sweep<true>(s);
+  } else {
+    avx512_sweep<false>(s);
+  }
+}
+#endif  // EB_WDM_X86
+
+}  // namespace
+
+const std::vector<WdmKernel>& wdm_kernels() {
+  static const std::vector<WdmKernel> kernels = [] {
+    std::vector<WdmKernel> r;
+#ifdef EB_WDM_X86
+    r.push_back(
+        {"avx512f", sweep_avx512, __builtin_cpu_supports("avx512f") != 0});
+#endif
+    r.push_back({"portable", sweep_portable, true});
+    return r;
+  }();
+  return kernels;
+}
 
 std::size_t CrossbarDims::index(std::size_t r, std::size_t c) const {
   EB_REQUIRE(r < rows && c < cols, "cell index out of range");
@@ -147,15 +462,55 @@ void OpticalCrossbar::program_column(std::size_t col, const BitVec& bits) {
   }
 }
 
+std::vector<double> OpticalCrossbar::wdm_powers(
+    std::span<const BitVec> drives, double p_in_mw,
+    const dev::NoiseModel& noise, std::span<RngStream* const> rngs) const {
+  static const WdmKernel& best = *std::find_if(
+      wdm_kernels().begin(), wdm_kernels().end(),
+      [](const WdmKernel& c) { return c.supported; });
+  return wdm_powers(best, drives, p_in_mw, noise, rngs);
+}
+
+std::vector<double> OpticalCrossbar::wdm_powers(
+    const WdmKernel& kernel, std::span<const BitVec> drives, double p_in_mw,
+    const dev::NoiseModel& noise, std::span<RngStream* const> rngs) const {
+  EB_REQUIRE(kernel.supported, std::string("WDM sweep kernel '") +
+                                   kernel.name +
+                                   "' is not supported on this CPU");
+  EB_REQUIRE(rngs.size() == drives.size(), "one noise stream per channel");
+  std::size_t words = 0;
+  for (const BitVec& d : drives) {
+    EB_REQUIRE(d.size() <= dims_.rows, "too many active rows");
+    words = std::max(words, d.words().size());
+  }
+  const auto drift = drift_.get();
+  const std::size_t channels = drives.size();
+  std::vector<double> out(channels * dims_.cols, 0.0);
+  kernel.sweep({t_eff_.data(), drift ? drift->data() : nullptr, dims_.cols,
+                p_in_mw, drives, words, out.data()});
+
+  const double full_scale =
+      static_cast<double>(dims_.rows) * on_power(p_in_mw);
+  for (std::size_t k = 0; k < channels; ++k) {
+    double* powers = out.data() + k * dims_.cols;
+    for (std::size_t c = 0; c < dims_.cols; ++c) {
+      powers[c] = noise.apply(powers[c], full_scale, *rngs[k]);
+    }
+  }
+  return out;
+}
+
 std::vector<std::vector<double>> OpticalCrossbar::mmm_powers(
     const std::vector<BitVec>& wavelength_inputs, double p_in_mw,
     const dev::NoiseModel& noise, RngStream& rng) const {
-  // Channels are physically independent; draws stay channel-major, so
-  // this is exactly a sequence of single-channel passes.
-  std::vector<std::vector<double>> out;
-  out.reserve(wavelength_inputs.size());
-  for (const BitVec& input : wavelength_inputs) {
-    out.push_back(vmm_powers(input, p_in_mw, noise, rng));
+  const std::vector<RngStream*> rngs(wavelength_inputs.size(), &rng);
+  const std::vector<double> flat =
+      wdm_powers(wavelength_inputs, p_in_mw, noise, rngs);
+  std::vector<std::vector<double>> out(wavelength_inputs.size());
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const auto first = flat.begin() + static_cast<std::ptrdiff_t>(
+                                          k * dims_.cols);
+    out[k].assign(first, first + static_cast<std::ptrdiff_t>(dims_.cols));
   }
   return out;
 }
@@ -164,35 +519,8 @@ std::vector<double> OpticalCrossbar::vmm_powers(const BitVec& input,
                                                 double p_in_mw,
                                                 const dev::NoiseModel& noise,
                                                 RngStream& rng) const {
-  // Direct single-channel path: the WDM executor calls this once per
-  // (shard, wavelength) on the simulator's hottest loop, so it must not
-  // pay mmm_powers' temporary input vector + result-row copy. Draw order
-  // is identical to a one-channel mmm_powers call.
-  EB_REQUIRE(input.size() <= dims_.rows, "too many active rows");
-  const auto drift = drift_.get();
-  const double full_scale =
-      static_cast<double>(dims_.rows) * on_power(p_in_mw);
-  std::vector<double> cols(dims_.cols, 0.0);
-  for (std::size_t r = 0; r < input.size(); ++r) {
-    if (!input.get(r)) {
-      continue;
-    }
-    const double* t = t_eff_.data() + r * dims_.cols;
-    if (drift) {
-      const double* f = drift->data() + r * dims_.cols;
-      for (std::size_t c = 0; c < dims_.cols; ++c) {
-        cols[c] += p_in_mw * t[c] * f[c];
-      }
-    } else {
-      for (std::size_t c = 0; c < dims_.cols; ++c) {
-        cols[c] += p_in_mw * t[c];
-      }
-    }
-  }
-  for (auto& p : cols) {
-    p = noise.apply(p, full_scale, rng);
-  }
-  return cols;
+  RngStream* const stream = &rng;
+  return wdm_powers({&input, 1}, p_in_mw, noise, {&stream, 1});
 }
 
 double OpticalCrossbar::on_power(double p_in_mw) const {

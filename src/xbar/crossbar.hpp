@@ -17,6 +17,21 @@
 // and sum each column in ascending row order, so noisy outputs are
 // reproducible to the bit.
 //
+// An optical read is one WDM pass, however many channels it carries
+// (in hardware the channels share one linear medium): a single sweep of
+// the cell table, 128 rows at a time, sums every channel's columns. The
+// avx512f candidate forms the product p * t of a driven row once and
+// adds it into the register-held sums of every channel of a group of up
+// to four that drives the row; the portable one forms it per channel
+// while the rows are still cached. Each (channel, column) sum still runs
+// over the channel's rows in ascending order, so the candidates
+// (wdm_kernels()) agree to the bit with each other and with a
+// channel-by-channel loop. The sweep is the only loop that sums optical
+// table rows, and it never fuses a multiply with an add: a fused
+// multiply-add rounds once where the grouping above rounds twice, so
+// crossbar.cpp switches contraction off with a pragma, as
+// bnn/real_gemm.cpp does.
+//
 // These are *functional* models: they compute values (with optional device
 // variability and read noise). Latency/energy live in arch::TechParams and
 // the mapping/compiler cost models, keeping physics and accounting
@@ -26,6 +41,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -113,6 +129,20 @@ class ElectricalCrossbar {
   DriftTable drift_;
 };
 
+struct WdmSweep;  // one pass's operands, as handed to a kernel
+
+// One compiled candidate for the optical table sweep and whether the
+// host can run it.
+struct WdmKernel {
+  const char* name;                 // "avx512f" or "portable"
+  void (*sweep)(const WdmSweep&);  // sums every channel's columns
+  bool supported;                   // host CPU can execute it
+};
+
+// Every candidate compiled into this build, fastest first; "portable" is
+// last and supported everywhere.
+[[nodiscard]] const std::vector<WdmKernel>& wdm_kernels();
+
 class OpticalCrossbar {
  public:
   OpticalCrossbar(CrossbarDims dims, dev::OpcmParams dev_params,
@@ -123,15 +153,36 @@ class OpticalCrossbar {
   void program(std::size_t row, std::size_t col, std::size_t level);
   void program_column(std::size_t col, const BitVec& bits);
 
-  // WDM matrix-matrix multiply: `wavelength_inputs[k]` is the binary row
-  // drive for wavelength k (active row carries p_in_mw of optical power on
-  // that channel). Returns out[k][col] = received power per channel and
-  // column. Channels are physically independent (linear medium).
+  // One WDM pass, the read every optical read goes through. drives[k] is
+  // wavelength channel k's binary row drive: an active row carries
+  // p_in_mw of optical power on that channel (a drive may be shorter than
+  // rows(); missing rows are inactive). One sweep of the cell table sums
+  // every channel: out[k * cols + c] accumulates p * t_eff(r, c) --
+  // (p * t_eff(r, c)) * f(r, c) under imposed drift -- over the rows r
+  // that drives[k] sets, in ascending row order. Then each channel's
+  // dims().cols sums are noised in column order from *rngs[k], channel
+  // after channel, so rngs that all point at one stream draw
+  // channel-major. Returns the channels x cols powers, channel-major.
+  [[nodiscard]] std::vector<double> wdm_powers(
+      std::span<const BitVec> drives, double p_in_mw,
+      const dev::NoiseModel& noise, std::span<RngStream* const> rngs) const;
+
+  // As above on a caller-chosen sweep candidate (tests and benches;
+  // eb::Error if the host cannot run it). Bit-identical across candidates.
+  [[nodiscard]] std::vector<double> wdm_powers(
+      const WdmKernel& kernel, std::span<const BitVec> drives,
+      double p_in_mw, const dev::NoiseModel& noise,
+      std::span<RngStream* const> rngs) const;
+
+  // WDM matrix-matrix multiply: a wdm_powers pass whose channels all draw
+  // from `rng`, channel-major. Returns out[k][col] = received power per
+  // channel and column. Channels are physically independent (linear
+  // medium).
   [[nodiscard]] std::vector<std::vector<double>> mmm_powers(
       const std::vector<BitVec>& wavelength_inputs, double p_in_mw,
       const dev::NoiseModel& noise, RngStream& rng) const;
 
-  // Single-wavelength convenience (a VMM).
+  // Single-wavelength convenience (a VMM): a one-channel wdm_powers pass.
   [[nodiscard]] std::vector<double> vmm_powers(const BitVec& input,
                                                double p_in_mw,
                                                const dev::NoiseModel& noise,

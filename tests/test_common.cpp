@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <vector>
 
 #include "common/bitvec.hpp"
 #include "common/config.hpp"
@@ -122,6 +123,62 @@ TEST(BitVec, SliceExtractsCorrectWindow) {
   for (std::size_t i = 0; i < 100; ++i) {
     EXPECT_EQ(s.get(i), v.get(130 + i));
   }
+}
+
+TEST(BitVec, ConcatAndSliceMatchPerBitReference) {
+  // Word-level concat and slice against bit-by-bit copies, for every
+  // length and offset up to 130 (zero, inside one word, at and across
+  // word boundaries). operator== compares whole words, so it also checks
+  // that the padding past size() stays zero.
+  Rng rng(5);
+  const auto per_bit_concat = [](const BitVec& a, const BitVec& b) {
+    BitVec out(a.size() + b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      out.set(i, a.get(i));
+    }
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      out.set(a.size() + i, b.get(i));
+    }
+    return out;
+  };
+  std::vector<BitVec> heads;
+  std::vector<BitVec> tails;
+  for (std::size_t n = 0; n <= 130; ++n) {
+    heads.push_back(BitVec::random(n, rng));
+    tails.push_back(n % 2 == 0 ? BitVec(n).complemented()
+                               : BitVec::random(n, rng));
+  }
+  std::size_t concat_mismatches = 0;
+  for (const BitVec& a : heads) {
+    for (const BitVec& b : tails) {
+      if (a.concat(b) != per_bit_concat(a, b)) {
+        ADD_FAILURE() << "concat " << a.size() << " + " << b.size();
+        if (++concat_mismatches == 5) {
+          return;
+        }
+      }
+    }
+  }
+  // 261 bits: five words, the last one partial.
+  for (const BitVec& v :
+       {BitVec::random(261, rng), BitVec(261).complemented()}) {
+    std::size_t slice_mismatches = 0;
+    for (std::size_t begin = 0; begin <= 130; ++begin) {
+      for (std::size_t len = 0; len <= 130; ++len) {
+        BitVec want(len);
+        for (std::size_t i = 0; i < len; ++i) {
+          want.set(i, v.get(begin + i));
+        }
+        if (v.slice(begin, len) != want) {
+          ADD_FAILURE() << "slice begin=" << begin << " len=" << len;
+          if (++slice_mismatches == 5) {
+            return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_THROW(static_cast<void>(heads[10].slice(5, 6)), Error);
 }
 
 TEST(BitVec, TacitMapIdentityHolds) {

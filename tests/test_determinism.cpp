@@ -524,6 +524,51 @@ TEST(GoldenNoisyStreams, RealisticDevicesExactAtFixedSeed) {
   EXPECT_EQ(bits_digest(drifted_optical), 0x1ff0487262c2c38du);
 }
 
+// Order-sensitive digest (FNV-1a) of a batch's popcounts, input by input.
+std::uint64_t counts_digest(const std::vector<std::vector<std::size_t>>& v) {
+  std::uint64_t h = 0xcbf29ce484222325u;
+  for (const auto& counts : v) {
+    for (const std::size_t x : counts) {
+      h = (h ^ static_cast<std::uint64_t>(x)) * 0x100000001b3u;
+    }
+  }
+  return h;
+}
+
+// The pins above run 32 x 32 crossbars with at most four wavelengths.
+// This one pins the optical executor at serving scale: MLP-S fc2 (m 500,
+// n 250) on 512 x 512 crossbars with 16 wavelengths, and a batch of 17 --
+// one full WDM pass plus a one-channel pass -- on realistic devices under
+// shot noise, pristine and drifted, serial and on a pool. The digests
+// were captured from the per-channel crossbar reads that the one-sweep
+// WDM pass replaced, so they pin the sweep to the same bits.
+TEST(GoldenNoisyStreams, OpticalWdmBatchAtServingScale) {
+  Rng build_rng(22);
+  const auto task = map::XnorPopcountTask::random(500, 250, 17, build_rng);
+  map::TacitOpticalConfig cfg;
+  cfg.dims = {512, 512};
+  cfg.wdm_capacity = 16;
+  cfg.device = dev::OpcmParams::realistic();
+  const map::TacitMapOptical optical(task.weights, cfg);
+  const dev::ShotNoise noise(0.02);
+  ThreadPool pool(3);
+  const auto digest = [&](ThreadPool* p) {
+    Rng rng(323);
+    return counts_digest(optical.execute_batch(task.inputs, noise, rng, p));
+  };
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    EXPECT_EQ(digest(p), 0xb27989fd40b80236u)
+        << "pristine, pool " << (p != nullptr);
+  }
+  optical.set_drift(dev::DriftModel(dev::DriftParams::realistic()), 3600.0,
+                    RngStream(0xD41F7));
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    EXPECT_EQ(digest(p), 0x539fd23923e8adf0u)
+        << "drifted, pool " << (p != nullptr);
+  }
+  optical.clear_drift();
+}
+
 // --------------------------------------------------- scheduler plumbing --
 
 TEST(CrossbarScheduler, ReducesInFlatIndexOrderAndForksPerShard) {

@@ -2,12 +2,27 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/bitvec.hpp"
 #include "common/error.hpp"
+#include "device/drift.hpp"
 #include "device/noise.hpp"
+#include "device/pcm.hpp"
 #include "xbar/crossbar.hpp"
 #include "xbar/periph.hpp"
+
+// The per-channel reference below must round its products and sums
+// separately, as the crossbar does; a fused multiply-add would make it
+// the odd one out.
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
 
 namespace eb::xbar {
 namespace {
@@ -162,6 +177,248 @@ TEST(OpticalCrossbar, PowerSumMatchesTransmissions) {
   }
   const auto p = xb.vmm_powers(all, 2.0, kNoNoise, rng);
   EXPECT_NEAR(p[0], 4.0 * xb.on_power(2.0) + 4.0 * xb.off_power(2.0), 1e-12);
+}
+
+// ------------------------------------------------- WDM pass (one sweep) --
+
+// An optical crossbar next to a copy of its cell table and drift factors,
+// rebuilt from the same device draws: every cell is programmed in
+// row-major order from the crossbar's seed, and drift factors come from
+// the same model, time and base.
+struct MirroredCrossbar {
+  OpticalCrossbar xb;
+  std::vector<double> t_eff;
+  std::vector<double> f;  // empty when pristine
+
+  MirroredCrossbar(CrossbarDims dims, const dev::OpcmParams& params,
+                   bool drifted, Rng& pattern)
+      : xb(dims, params, 41), t_eff(dims.cells()) {
+    RngStream program_rng(41);
+    const double loss = dev::insertion_loss_factor(params);
+    for (std::size_t r = 0; r < dims.rows; ++r) {
+      for (std::size_t c = 0; c < dims.cols; ++c) {
+        const std::size_t level = pattern.bits64() % params.levels;
+        xb.program(r, c, level);
+        t_eff[r * dims.cols + c] =
+            dev::program_transmission(params, level, program_rng) * loss;
+      }
+    }
+    if (drifted) {
+      const dev::DriftModel model(dev::DriftParams::realistic());
+      const RngStream base(0xD41F7);
+      xb.set_drift(model, 3600.0, base);
+      f = model.factors(3600.0, dims.cells(), base);
+    }
+  }
+};
+
+// One channel read the way a single-channel read summed it before the
+// one-sweep pass: rows in ascending order, (p * t) * f, then every
+// column noised in order from the channel's stream.
+std::vector<double> reference_channel(const MirroredCrossbar& m,
+                                      const BitVec& input, double p_in_mw,
+                                      const dev::NoiseModel& noise,
+                                      RngStream& rng) {
+  const std::size_t n_cols = m.xb.dims().cols;
+  std::vector<double> cols(n_cols, 0.0);
+  for (std::size_t r = 0; r < input.size(); ++r) {
+    if (!input.get(r)) {
+      continue;
+    }
+    const double* t = m.t_eff.data() + r * n_cols;
+    if (!m.f.empty()) {
+      const double* f = m.f.data() + r * n_cols;
+      for (std::size_t c = 0; c < n_cols; ++c) {
+        cols[c] += p_in_mw * t[c] * f[c];
+      }
+    } else {
+      for (std::size_t c = 0; c < n_cols; ++c) {
+        cols[c] += p_in_mw * t[c];
+      }
+    }
+  }
+  const double full_scale =
+      static_cast<double>(m.xb.dims().rows) * m.xb.on_power(p_in_mw);
+  for (auto& p : cols) {
+    p = noise.apply(p, full_scale, rng);
+  }
+  return cols;
+}
+
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+// Channel k's drive: dense, sparse, all rows, dense, or empty, in turn,
+// and shorter than the crossbar for k mod 4 != 0.
+std::vector<BitVec> wdm_drives(std::size_t channels, std::size_t rows,
+                               Rng& rng) {
+  std::vector<BitVec> drives;
+  for (std::size_t k = 0; k < channels; ++k) {
+    const std::size_t len = rows - std::min(rows, (k % 4) * 29);
+    BitVec d = BitVec::random(len, rng);
+    switch (k % 5) {
+      case 1:
+        d = d.and_with(BitVec::random(len, rng));
+        break;
+      case 2:
+        d = BitVec(len).complemented();
+        break;
+      case 4:
+        d = BitVec(len);
+        break;
+      default:
+        break;
+    }
+    drives.push_back(std::move(d));
+  }
+  return drives;
+}
+
+std::vector<const WdmKernel*> supported_wdm_kernels() {
+  std::vector<const WdmKernel*> out;
+  for (const auto& kernel : wdm_kernels()) {
+    if (kernel.supported) {
+      out.push_back(&kernel);
+    }
+  }
+  return out;
+}
+
+// Every channel of one wdm_powers pass on `kernel`, each drawing from
+// its own stream, against the per-channel reference; the streams must
+// also end where the reference leaves them.
+void expect_pass_matches_reference(const MirroredCrossbar& m,
+                                   const WdmKernel& kernel,
+                                   const std::vector<BitVec>& drives,
+                                   double p_in_mw,
+                                   const dev::NoiseModel& noise,
+                                   const std::string& where) {
+  std::vector<RngStream> streams;
+  for (std::size_t k = 0; k < drives.size(); ++k) {
+    streams.emplace_back(1000 + k);
+  }
+  std::vector<RngStream> ref_streams = streams;
+  std::vector<RngStream*> rngs;
+  for (auto& r : streams) {
+    rngs.push_back(&r);
+  }
+  const auto got = m.xb.wdm_powers(kernel, drives, p_in_mw, noise, rngs);
+  const std::size_t n_cols = m.xb.dims().cols;
+  ASSERT_EQ(got.size(), drives.size() * n_cols) << where;
+  for (std::size_t k = 0; k < drives.size(); ++k) {
+    const auto want =
+        reference_channel(m, drives[k], p_in_mw, noise, ref_streams[k]);
+    EXPECT_TRUE(same_bits(got.data() + k * n_cols, want.data(), n_cols))
+        << where << " channel " << k;
+    EXPECT_EQ(streams[k].bits64(), ref_streams[k].bits64())
+        << where << " channel " << k << " drew a different count";
+  }
+}
+
+TEST(OpticalWdmPass, PortableIsAlwaysACandidate) {
+  const auto& kernels = wdm_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_STREQ(kernels.back().name, "portable");
+  EXPECT_TRUE(kernels.back().supported);
+}
+
+TEST(OpticalWdmPass, EveryCandidateMatchesThePerChannelLoop) {
+  // Channel counts: one register group, partial groups, several full
+  // groups plus a one-channel group, and past 64. Column counts: below,
+  // at and past each candidate's block width. 300 rows cross the sweep's
+  // 128-row chunks and the drives' 64-bit words.
+  const std::size_t rows = 300;
+  const dev::ShotNoise noise(0.05);
+  Rng rng(51);
+  for (const std::size_t n_cols : {1u, 7u, 32u, 37u, 64u, 100u, 512u}) {
+    const MirroredCrossbar m({rows, n_cols}, dev::OpcmParams::realistic(),
+                             /*drifted=*/true, rng);
+    for (const std::size_t channels :
+         {1u, 2u, 3u, 4u, 5u, 16u, 17u, 64u, 65u}) {
+      const auto drives = wdm_drives(channels, rows, rng);
+      for (const WdmKernel* kernel : supported_wdm_kernels()) {
+        expect_pass_matches_reference(
+            m, *kernel, drives, 0.37,
+            noise, std::string(kernel->name) + " cols=" +
+                       std::to_string(n_cols) +
+                       " channels=" + std::to_string(channels));
+      }
+    }
+  }
+}
+
+TEST(OpticalWdmPass, EveryCandidateMatchesUnderEveryNoiseAndDevice) {
+  const std::size_t rows = 300;
+  dev::CompositeNoise composite;
+  composite.add(std::make_unique<dev::ShotNoise>(0.03));
+  composite.add(std::make_unique<dev::GaussianReadNoise>(0.01));
+  const dev::NoNoise none;
+  const dev::ShotNoise shot(0.05);
+  const dev::GaussianReadNoise gaussian(0.02);
+  const std::pair<const char*, const dev::NoiseModel*> noises[] = {
+      {"none", &none},
+      {"shot", &shot},
+      {"gaussian", &gaussian},
+      {"composite", &composite}};
+  Rng rng(52);
+  for (const bool realistic : {false, true}) {
+    const dev::OpcmParams params = realistic ? dev::OpcmParams::realistic()
+                                             : dev::OpcmParams::ideal();
+    for (const bool drifted : {false, true}) {
+      for (const std::size_t n_cols : {37u, 512u}) {
+        const MirroredCrossbar m({rows, n_cols}, params, drifted, rng);
+        for (const std::size_t channels : {5u, 17u}) {
+          const auto drives = wdm_drives(channels, rows, rng);
+          for (const auto& [name, noise] : noises) {
+            for (const WdmKernel* kernel : supported_wdm_kernels()) {
+              expect_pass_matches_reference(
+                  m, *kernel, drives, 0.37, *noise,
+                  std::string(kernel->name) + " " + name +
+                      (realistic ? " realistic" : " ideal") +
+                      (drifted ? " drifted" : " pristine") +
+                      " cols=" + std::to_string(n_cols) +
+                      " channels=" + std::to_string(channels));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(OpticalWdmPass, MmmAndVmmDrawChannelMajorFromOneStream) {
+  Rng rng(53);
+  const MirroredCrossbar m({150, 40}, dev::OpcmParams::realistic(),
+                           /*drifted=*/false, rng);
+  const dev::GaussianReadNoise noise(0.02);
+  const auto drives = wdm_drives(6, 150, rng);  // channel 4 is empty
+  RngStream stream(7);
+  RngStream ref_stream(7);
+  const auto mmm = m.xb.mmm_powers(drives, 0.5, noise, stream);
+  ASSERT_EQ(mmm.size(), drives.size());
+  for (std::size_t k = 0; k < drives.size(); ++k) {
+    const auto want = reference_channel(m, drives[k], 0.5, noise, ref_stream);
+    EXPECT_TRUE(same_bits(mmm[k].data(), want.data(), want.size()))
+        << "channel " << k;
+  }
+  const auto vmm = m.xb.vmm_powers(drives[0], 0.5, noise, stream);
+  const auto want = reference_channel(m, drives[0], 0.5, noise, ref_stream);
+  EXPECT_TRUE(same_bits(vmm.data(), want.data(), want.size()));
+  EXPECT_EQ(stream.bits64(), ref_stream.bits64());
+}
+
+TEST(OpticalWdmPass, RejectsMismatchedStreamsAndLongDrives) {
+  OpticalCrossbar xb({8, 4}, dev::OpcmParams::ideal());
+  RngStream stream(8);
+  RngStream* const one[] = {&stream};
+  const std::vector<BitVec> two(2, BitVec(8));
+  EXPECT_THROW(static_cast<void>(xb.wdm_powers(two, 1.0, kNoNoise, one)),
+               Error);
+  const std::vector<BitVec> long_drive(1, BitVec(9));
+  EXPECT_THROW(
+      static_cast<void>(xb.wdm_powers(long_drive, 1.0, kNoNoise, one)),
+      Error);
 }
 
 // ------------------------------------------------------------------- TIA --
