@@ -366,11 +366,12 @@ BENCHMARK(BM_OpticalWdmExecute)->Arg(1)->Arg(4)->Arg(16);
 //
 // One single-threaded OpticalCrossbar::wdm_powers pass per iteration, for
 // every sweep candidate the host supports (BM_OpticalWdmPass/<candidate>/
-// <K>), at the repository benchmark's wdm-mapped shape: MLP-S fc2 (m 500,
-// n 250) on 512x512 crossbars, so the first row segment is 512 driven-or-
-// not rows of [x ; ~x] and 250 programmed columns. K channels ride the
-// pass with ideal readout; items are channels, so items/s inverts to the
-// time per channel per shard.
+// <K>/<cols>), at the repository benchmark's wdm-mapped shape: MLP-S fc2
+// (m 500, n 250) on 512x512 crossbars, so the first row segment is 512
+// driven-or-not rows of [x ; ~x] and 250 programmed columns. K channels
+// ride the pass with ideal readout and read the 250 columns the tile's
+// receivers convert (what TacitMapOptical reads) or all 512; items are
+// channels, so items/s inverts to the time per channel per shard.
 
 struct WdmPassFixture {
   eb::xbar::OpticalCrossbar xb{{512, 512}, eb::dev::OpcmParams::ideal()};
@@ -390,14 +391,14 @@ struct WdmPassFixture {
 };
 
 void run_wdm_pass(benchmark::State& state, const eb::xbar::WdmKernel& kernel,
-                  std::size_t channels) {
+                  std::size_t channels, std::size_t cols) {
   static const WdmPassFixture f;
   const std::span<const eb::BitVec> drives(f.drives.data(), channels);
   eb::RngStream rng(0x3e);
   const std::vector<eb::RngStream*> rngs(channels, &rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        f.xb.wdm_powers(kernel, drives, 1.0, kNoNoise, rngs));
+        f.xb.wdm_powers(kernel, drives, 1.0, kNoNoise, rngs, cols));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(channels));
@@ -409,10 +410,13 @@ void register_wdm_pass_benchmarks() {
       continue;
     }
     for (const std::size_t channels : {1, 16}) {
-      const std::string name = std::string("BM_OpticalWdmPass/") +
-                               kernel.name + "/" + std::to_string(channels);
-      benchmark::RegisterBenchmark(name.c_str(), run_wdm_pass, kernel,
-                                   channels);
+      for (const std::size_t cols : {250, 512}) {
+        const std::string name = std::string("BM_OpticalWdmPass/") +
+                                 kernel.name + "/" + std::to_string(channels) +
+                                 "/" + std::to_string(cols);
+        benchmark::RegisterBenchmark(name.c_str(), run_wdm_pass, kernel,
+                                     channels, cols);
+      }
     }
   }
 }

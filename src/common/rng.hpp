@@ -62,6 +62,10 @@ class RngStream {
   // Raw 64 random bits (for packed bit-vector generation).
   [[nodiscard]] std::uint64_t bits64() { return next(); }
 
+  // Skips n draws in O(1): the stream ends where n bits64() calls would
+  // leave it.
+  void discard(std::uint64_t n) { ctr_ += n * kGolden; }
+
   // Uniform double in [lo, hi).
   [[nodiscard]] double uniform(double lo = 0.0, double hi = 1.0) {
     return lo + (hi - lo) * to_unit(next());
@@ -81,7 +85,11 @@ class RngStream {
                                      draw % span);
   }
 
-  // Gaussian with the given mean / stddev (Box-Muller, two draws per call).
+  // Draws one gaussian() call takes.
+  static constexpr std::uint64_t kGaussianDraws = 2;
+
+  // Gaussian with the given mean / stddev (Box-Muller, kGaussianDraws
+  // draws per call).
   [[nodiscard]] double gaussian(double mean = 0.0, double stddev = 1.0) {
     // u1 in (0, 1] keeps the log finite; u2 in [0, 1).
     const double u1 =

@@ -11,8 +11,13 @@
 // crossbar scheduler each (segment x tile) shard passes its own forked
 // substream, which is what keeps noisy runs bit-identical across thread
 // counts.
+//
+// Every apply() takes exactly draws() 64-bit draws from its stream,
+// whatever x is, so a reader that leaves values unread can skip their
+// draws with RngStream::discard and keep every later draw in place.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -27,6 +32,9 @@ class NoiseModel {
   // Returns the perturbed readout value.
   [[nodiscard]] virtual double apply(double x, double full_scale,
                                      RngStream& rng) const = 0;
+
+  // The number of 64-bit draws one apply() takes, the same for every x.
+  [[nodiscard]] virtual std::size_t draws() const = 0;
 };
 
 // No perturbation (ideal readout).
@@ -36,6 +44,8 @@ class NoNoise final : public NoiseModel {
                              RngStream& /*rng*/) const override {
     return x;
   }
+
+  [[nodiscard]] std::size_t draws() const override { return 0; }
 };
 
 // Additive Gaussian noise with sigma expressed as a fraction of full scale
@@ -46,6 +56,7 @@ class GaussianReadNoise final : public NoiseModel {
 
   [[nodiscard]] double apply(double x, double full_scale,
                              RngStream& rng) const override;
+  [[nodiscard]] std::size_t draws() const override;
 
   [[nodiscard]] double sigma_fraction() const { return sigma_fraction_; }
 
@@ -55,12 +66,15 @@ class GaussianReadNoise final : public NoiseModel {
 
 // Photodetector shot noise: variance proportional to the signal level,
 // sigma = k * sqrt(x * full_scale). Dominant at high optical readout rates.
+// A signal x <= 0 is returned unchanged, but its Gaussian's draws are
+// still taken, so the draw count does not depend on the power read.
 class ShotNoise final : public NoiseModel {
  public:
   explicit ShotNoise(double k);
 
   [[nodiscard]] double apply(double x, double full_scale,
                              RngStream& rng) const override;
+  [[nodiscard]] std::size_t draws() const override;
 
  private:
   double k_;
@@ -74,18 +88,21 @@ class TiaThermalNoise final : public NoiseModel {
 
   [[nodiscard]] double apply(double x, double /*full_scale*/,
                              RngStream& rng) const override;
+  [[nodiscard]] std::size_t draws() const override;
 
  private:
   double sigma_abs_;
 };
 
-// Sum of component noise sources applied in sequence.
+// Sum of component noise sources applied in sequence; draws() is the sum
+// of the components' draws.
 class CompositeNoise final : public NoiseModel {
  public:
   void add(std::unique_ptr<NoiseModel> m);
 
   [[nodiscard]] double apply(double x, double full_scale,
                              RngStream& rng) const override;
+  [[nodiscard]] std::size_t draws() const override;
 
   [[nodiscard]] std::size_t components() const { return parts_.size(); }
 

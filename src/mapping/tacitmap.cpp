@@ -138,8 +138,9 @@ std::vector<std::size_t> TacitMapElectrical::execute_with_base(
         const Range tile = part_.col_tiles[shard.tile];
         const std::size_t active = seg_active[shard.segment];
         const auto& xb = *crossbars_[shard.segment * n_tiles + shard.tile];
-        const auto currents = xb.vmm_currents_bits(
-            seg_drives[shard.segment], cfg_.v_read, noise, shard_rng);
+        const auto currents =
+            xb.vmm_currents_bits(seg_drives[shard.segment], cfg_.v_read,
+                                 noise, shard_rng, /*t_s=*/0.0, tile.length);
         std::vector<std::size_t> partial(tile.length, 0);
         for (std::size_t j = 0; j < tile.length; ++j) {
           // ADC conversion then digital calibration: the controller knows
@@ -251,8 +252,10 @@ std::vector<std::vector<std::size_t>> TacitMapOptical::wdm_pass(
   // a pure function of its input's base and the shard index: identical
   // whether the input rides a crowded WDM pass or a single-channel one.
   // Each shard reads all its channels in one wdm_powers pass (one sweep
-  // of the crossbar's cell table); channel k's stream first noises its
-  // column powers, then feeds its receiver decodes.
+  // of the crossbar's cell table) over the tile's columns, the ones its
+  // receivers convert; channel k's stream first noises those column
+  // powers, skips the draws of the crossbar's unread columns, then feeds
+  // its receiver decodes.
   const CrossbarScheduler scheduler(pool);
   scheduler.run_raw(
       n_segments, n_tiles,
@@ -274,16 +277,15 @@ std::vector<std::vector<std::size_t>> TacitMapOptical::wdm_pass(
               shard.index, 0));
           rngs.push_back(&ch_rngs.back());
         }
-        const auto powers =
-            xb.wdm_powers(seg_drives[shard.segment], p_ch, noise, rngs);
-        const std::size_t cols = cfg_.dims.cols;
+        const auto powers = xb.wdm_powers(seg_drives[shard.segment], p_ch,
+                                          noise, rngs, tile.length);
         for (std::size_t i = 0; i < channels.size(); ++i) {
           const phot::Receiver rx(cfg_.rx, seg_active[shard.segment][i], p_on,
                                   p_off);
           auto& counts = partial[channels[i]];
           for (std::size_t j = 0; j < tile.length; ++j) {
-            counts[j] =
-                rx.decode_popcount(powers[i * cols + j], noise, ch_rngs[i]);
+            counts[j] = rx.decode_popcount(powers[i * tile.length + j], noise,
+                                           ch_rngs[i]);
           }
         }
         return partial;

@@ -35,6 +35,14 @@
 /// one OpticalCrossbar::wdm_powers sweep of the crossbar's cell table, as
 /// the hardware does; a channel whose segment drive is empty is left out
 /// of the sweep and draws nothing.
+///
+/// A shard reads only its tile's columns, the ones its ADCs convert, so
+/// per input it performs segments x n conversions, the count
+/// arch::CostModel charges: the electrical read noises each converted
+/// column once, and the optical path noises it twice (the column read,
+/// then the receiver's TIA). The crossbar's unread columns draw no noise;
+/// their draws are skipped, which keeps every noisy result where a read
+/// of every column put it.
 #pragma once
 
 #include <cstddef>

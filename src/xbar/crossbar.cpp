@@ -25,14 +25,15 @@
 
 namespace eb::xbar {
 
-// One WDM pass over an optical cell table. A kernel adds into
-// out[k * cols + c], which the caller zero-fills, channel k's terms
-// (p * t) -- ((p * t) * f) when f is set -- over the rows drives[k] sets,
-// in ascending row order.
+// One WDM pass over the leading cols columns of an optical cell table. A
+// kernel adds into out[k * cols + c], which the caller zero-fills, channel
+// k's terms (p * t) -- ((p * t) * f) when f is set -- over the rows
+// drives[k] sets, in ascending row order.
 struct WdmSweep {
-  const double* t;  // cell table, row-major, row stride cols
-  const double* f;  // imposed drift factors, same layout; nullptr if none
-  std::size_t cols;
+  const double* t;     // cell table, row-major
+  const double* f;     // imposed drift factors, same layout; nullptr if none
+  std::size_t stride;  // the table's row stride, its column count
+  std::size_t cols;    // leading columns summed, at most stride
   double p;                        // per-channel drive power, mW
   std::span<const BitVec> drives;  // channel k's driven rows
   std::size_t words;               // 64-row words of the longest drive
@@ -42,16 +43,36 @@ struct WdmSweep {
 namespace {
 
 // Rows per chunk of a sweep, in 64-row drive words. A column block spans
-// every row of the table at a stride of cols doubles (4 KB at 512
-// columns), which maps the whole block onto a few cache sets; over 128
-// rows it stays cached while the next channel, or channel group, re-reads
-// it. Column sums are stored at the end of a chunk and reloaded at the
-// start of the next, so each stays in ascending row order.
+// every row of the table at its row stride (4 KB at 512 columns), which
+// maps the whole block onto a few cache sets; over 128 rows it stays
+// cached while the next channel, or channel group, re-reads it. Column
+// sums are stored at the end of a chunk and reloaded at the start of the
+// next, so each stays in ascending row order.
 constexpr std::size_t kChunkWords = 2;
 
 // Word w of a drive; 0 past its end.
 std::uint64_t drive_word(const BitVec& d, std::size_t w) {
   return w < d.words().size() ? d.words()[w] : 0;
+}
+
+// How many leading columns a read covers: `cols`, or all of them.
+std::size_t read_width(const CrossbarDims& dims,
+                       std::optional<std::size_t> cols) {
+  const std::size_t n = cols.value_or(dims.cols);
+  EB_REQUIRE(n <= dims.cols, "read wider than the crossbar");
+  return n;
+}
+
+// Noises the `n` read columns at `x` in column order from `rng`, then
+// skips the draws the crossbar's other dims.cols - n columns would take,
+// so `rng` ends where a read of every column leaves it.
+void noise_columns(double* x, std::size_t n, const CrossbarDims& dims,
+                   double full_scale, const dev::NoiseModel& noise,
+                   RngStream& rng) {
+  for (std::size_t c = 0; c < n; ++c) {
+    x[c] = noise.apply(x[c], full_scale, rng);
+  }
+  rng.discard(noise.draws() * (dims.cols - n));
 }
 
 // ------------------------------------------------------------ portable --
@@ -82,7 +103,7 @@ void portable_block(const WdmSweep& s, const BitVec& d, std::size_t w0,
     for (std::uint64_t bits = drive_word(d, w); bits != 0; bits &= bits - 1) {
       const std::size_t r =
           64 * w + static_cast<std::size_t>(std::countr_zero(bits));
-      const std::size_t at = r * s.cols + c0;
+      const std::size_t at = r * s.stride + c0;
       for (std::size_t j = 0; j < kPortableLanes; ++j) {
         V2 pt = p * load2(s.t + at + 2 * j);
         if constexpr (Drift) {
@@ -103,7 +124,7 @@ void portable_column(const WdmSweep& s, const BitVec& d, std::size_t w0,
     for (std::uint64_t bits = drive_word(d, w); bits != 0; bits &= bits - 1) {
       const std::size_t r =
           64 * w + static_cast<std::size_t>(std::countr_zero(bits));
-      const std::size_t at = r * s.cols + c;
+      const std::size_t at = r * s.stride + c;
       double pt = s.p * s.t[at];
       if constexpr (Drift) {
         pt = pt * s.f[at];
@@ -174,7 +195,7 @@ __attribute__((target("avx512f"), always_inline)) inline void avx512_group(
   }
   const __m512d p = _mm512_set1_pd(s.p);
   for (const DrivenRow* d = rows; d != rows_end; ++d) {
-    const std::size_t at = d->row * s.cols + c0;
+    const std::size_t at = d->row * s.stride + c0;
     __m512d pt[4];
     for (std::size_t j = 0; j < 4; ++j) {
       const double* t = s.t + at + 8 * j;
@@ -378,12 +399,13 @@ void ElectricalCrossbar::program_column(std::size_t col, const BitVec& bits) {
 
 std::vector<double> ElectricalCrossbar::vmm_currents(
     const std::vector<double>& v_rows, const dev::NoiseModel& noise, RngStream& rng,
-    double t_s) const {
+    double t_s, std::optional<std::size_t> cols) const {
   EB_REQUIRE(v_rows.size() <= dims_.rows, "too many row voltages");
+  const std::size_t n = read_width(dims_, cols);
   const auto drift = drift_.get();
   // Device drift scales every cell alike: one power law per read.
   const double k = dev::drift_factor(params_, t_s);
-  std::vector<double> out(dims_.cols, 0.0);
+  std::vector<double> out(n, 0.0);
   for (std::size_t r = 0; r < v_rows.size(); ++r) {
     const double v = v_rows[r];
     if (v == 0.0) {
@@ -392,32 +414,30 @@ std::vector<double> ElectricalCrossbar::vmm_currents(
     const double* g = g_us_.data() + r * dims_.cols;
     if (drift) {
       const double* f = drift->data() + r * dims_.cols;
-      for (std::size_t c = 0; c < dims_.cols; ++c) {
+      for (std::size_t c = 0; c < n; ++c) {
         out[c] += v * (g[c] * k) * f[c];
       }
     } else {
-      for (std::size_t c = 0; c < dims_.cols; ++c) {
+      for (std::size_t c = 0; c < n; ++c) {
         out[c] += v * (g[c] * k);
       }
     }
   }
   const double full_scale =
       static_cast<double>(dims_.rows) * on_current(1.0);
-  for (auto& i : out) {
-    i = noise.apply(i, full_scale, rng);
-  }
+  noise_columns(out.data(), n, dims_, full_scale, noise, rng);
   return out;
 }
 
 std::vector<double> ElectricalCrossbar::vmm_currents_bits(
     const BitVec& active, double v_read, const dev::NoiseModel& noise,
-    RngStream& rng, double t_s) const {
+    RngStream& rng, double t_s, std::optional<std::size_t> cols) const {
   EB_REQUIRE(active.size() <= dims_.rows, "too many active rows");
   std::vector<double> v(active.size(), 0.0);
   for (std::size_t r = 0; r < active.size(); ++r) {
     v[r] = active.get(r) ? v_read : 0.0;
   }
-  return vmm_currents(v, noise, rng, t_s);
+  return vmm_currents(v, noise, rng, t_s, cols);
 }
 
 double ElectricalCrossbar::on_current(double v_read) const {
@@ -464,16 +484,18 @@ void OpticalCrossbar::program_column(std::size_t col, const BitVec& bits) {
 
 std::vector<double> OpticalCrossbar::wdm_powers(
     std::span<const BitVec> drives, double p_in_mw,
-    const dev::NoiseModel& noise, std::span<RngStream* const> rngs) const {
+    const dev::NoiseModel& noise, std::span<RngStream* const> rngs,
+    std::optional<std::size_t> cols) const {
   static const WdmKernel& best = *std::find_if(
       wdm_kernels().begin(), wdm_kernels().end(),
       [](const WdmKernel& c) { return c.supported; });
-  return wdm_powers(best, drives, p_in_mw, noise, rngs);
+  return wdm_powers(best, drives, p_in_mw, noise, rngs, cols);
 }
 
 std::vector<double> OpticalCrossbar::wdm_powers(
     const WdmKernel& kernel, std::span<const BitVec> drives, double p_in_mw,
-    const dev::NoiseModel& noise, std::span<RngStream* const> rngs) const {
+    const dev::NoiseModel& noise, std::span<RngStream* const> rngs,
+    std::optional<std::size_t> cols) const {
   EB_REQUIRE(kernel.supported, std::string("WDM sweep kernel '") +
                                    kernel.name +
                                    "' is not supported on this CPU");
@@ -483,19 +505,17 @@ std::vector<double> OpticalCrossbar::wdm_powers(
     EB_REQUIRE(d.size() <= dims_.rows, "too many active rows");
     words = std::max(words, d.words().size());
   }
+  const std::size_t n = read_width(dims_, cols);
   const auto drift = drift_.get();
   const std::size_t channels = drives.size();
-  std::vector<double> out(channels * dims_.cols, 0.0);
+  std::vector<double> out(channels * n, 0.0);
   kernel.sweep({t_eff_.data(), drift ? drift->data() : nullptr, dims_.cols,
-                p_in_mw, drives, words, out.data()});
+                n, p_in_mw, drives, words, out.data()});
 
   const double full_scale =
       static_cast<double>(dims_.rows) * on_power(p_in_mw);
   for (std::size_t k = 0; k < channels; ++k) {
-    double* powers = out.data() + k * dims_.cols;
-    for (std::size_t c = 0; c < dims_.cols; ++c) {
-      powers[c] = noise.apply(powers[c], full_scale, *rngs[k]);
-    }
+    noise_columns(out.data() + k * n, n, dims_, full_scale, noise, *rngs[k]);
   }
   return out;
 }

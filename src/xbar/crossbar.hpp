@@ -19,8 +19,8 @@
 //
 // An optical read is one WDM pass, however many channels it carries
 // (in hardware the channels share one linear medium): a single sweep of
-// the cell table, 128 rows at a time, sums every channel's columns. The
-// avx512f candidate forms the product p * t of a driven row once and
+// the cell table, 128 rows at a time, sums every channel's read columns.
+// The avx512f candidate forms the product p * t of a driven row once and
 // adds it into the register-held sums of every channel of a group of up
 // to four that drives the row; the portable one forms it per channel
 // while the rows are still cached. Each (channel, column) sum still runs
@@ -32,6 +32,13 @@
 // crossbar.cpp switches contraction off with a pragma, as
 // bnn/real_gemm.cpp does.
 //
+// A read covers the columns its caller converts: electrical and optical
+// reads take a count of leading columns (every column by default), sum
+// and noise only those, and then discard from the noise stream the draws
+// the other columns would have taken (NoiseModel::draws() each). The
+// stream thus ends where a read of every column leaves it, and the read
+// columns come out bit-identical to that full read.
+//
 // These are *functional* models: they compute values (with optional device
 // variability and read noise). Latency/energy live in arch::TechParams and
 // the mapping/compiler cost models, keeping physics and accounting
@@ -41,6 +48,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -92,17 +100,21 @@ class ElectricalCrossbar {
   // Program a whole column from a bit vector (bit -> ON level).
   void program_column(std::size_t col, const BitVec& bits);
 
-  // Analog VMM: `v_rows` volts on each row; returns per-column currents in
-  // microamps (uS * V). `t_s` = seconds since programming (drift).
+  // Analog VMM: `v_rows` volts on each row; returns the currents of the
+  // `cols` leading columns (every column if unset) in microamps (uS * V),
+  // noised in column order from `rng`, which then skips the draws of the
+  // columns left unread. `t_s` = seconds since programming (drift).
   [[nodiscard]] std::vector<double> vmm_currents(
       const std::vector<double>& v_rows, const dev::NoiseModel& noise,
-      RngStream& rng, double t_s = 0.0) const;
+      RngStream& rng, double t_s = 0.0,
+      std::optional<std::size_t> cols = std::nullopt) const;
 
   // Binary-input VMM: active rows driven at v_read volts, others at 0.
   // `active` may be shorter than rows(); missing rows are inactive.
   [[nodiscard]] std::vector<double> vmm_currents_bits(
       const BitVec& active, double v_read, const dev::NoiseModel& noise,
-      RngStream& rng, double t_s = 0.0) const;
+      RngStream& rng, double t_s = 0.0,
+      std::optional<std::size_t> cols = std::nullopt) const;
 
   // Current a single fully-ON cell contributes at v_read (for full-scale
   // and calibration computations). Pristine (undrifted) values: the
@@ -135,7 +147,7 @@ struct WdmSweep;  // one pass's operands, as handed to a kernel
 // host can run it.
 struct WdmKernel {
   const char* name;                 // "avx512f" or "portable"
-  void (*sweep)(const WdmSweep&);  // sums every channel's columns
+  void (*sweep)(const WdmSweep&);  // sums every channel's read columns
   bool supported;                   // host CPU can execute it
 };
 
@@ -156,33 +168,38 @@ class OpticalCrossbar {
   // One WDM pass, the read every optical read goes through. drives[k] is
   // wavelength channel k's binary row drive: an active row carries
   // p_in_mw of optical power on that channel (a drive may be shorter than
-  // rows(); missing rows are inactive). One sweep of the cell table sums
+  // rows(); missing rows are inactive). The pass reads the `cols` leading
+  // columns (every column if unset). One sweep of the cell table sums
   // every channel: out[k * cols + c] accumulates p * t_eff(r, c) --
   // (p * t_eff(r, c)) * f(r, c) under imposed drift -- over the rows r
   // that drives[k] sets, in ascending row order. Then each channel's
-  // dims().cols sums are noised in column order from *rngs[k], channel
-  // after channel, so rngs that all point at one stream draw
-  // channel-major. Returns the channels x cols powers, channel-major.
+  // `cols` sums are noised in column order from *rngs[k], which skips
+  // the draws of the dims().cols - cols unread columns, channel after
+  // channel, so rngs that all point at one stream draw channel-major.
+  // Returns the channels x cols powers, channel-major.
   [[nodiscard]] std::vector<double> wdm_powers(
       std::span<const BitVec> drives, double p_in_mw,
-      const dev::NoiseModel& noise, std::span<RngStream* const> rngs) const;
+      const dev::NoiseModel& noise, std::span<RngStream* const> rngs,
+      std::optional<std::size_t> cols = std::nullopt) const;
 
   // As above on a caller-chosen sweep candidate (tests and benches;
   // eb::Error if the host cannot run it). Bit-identical across candidates.
   [[nodiscard]] std::vector<double> wdm_powers(
       const WdmKernel& kernel, std::span<const BitVec> drives,
       double p_in_mw, const dev::NoiseModel& noise,
-      std::span<RngStream* const> rngs) const;
+      std::span<RngStream* const> rngs,
+      std::optional<std::size_t> cols = std::nullopt) const;
 
-  // WDM matrix-matrix multiply: a wdm_powers pass whose channels all draw
-  // from `rng`, channel-major. Returns out[k][col] = received power per
-  // channel and column. Channels are physically independent (linear
-  // medium).
+  // WDM matrix-matrix multiply: a wdm_powers pass over every column whose
+  // channels all draw from `rng`, channel-major. Returns out[k][col] =
+  // received power per channel and column. Channels are physically
+  // independent (linear medium).
   [[nodiscard]] std::vector<std::vector<double>> mmm_powers(
       const std::vector<BitVec>& wavelength_inputs, double p_in_mw,
       const dev::NoiseModel& noise, RngStream& rng) const;
 
-  // Single-wavelength convenience (a VMM): a one-channel wdm_powers pass.
+  // Single-wavelength convenience (a VMM): a one-channel wdm_powers pass
+  // over every column.
   [[nodiscard]] std::vector<double> vmm_powers(const BitVec& input,
                                                double p_in_mw,
                                                const dev::NoiseModel& noise,

@@ -96,6 +96,23 @@ TEST(RngStream, SplitAdvancesParentDeterministically) {
   EXPECT_EQ(d2, b2.bits64());
 }
 
+TEST(RngStream, DiscardLeavesTheStreamWhereDrawsWould) {
+  for (const std::uint64_t n : {0u, 1u, 2u, 1000u}) {
+    RngStream skipped(31);
+    RngStream drawn(31);
+    skipped.discard(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      (void)drawn.bits64();
+    }
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(skipped.bits64(), drawn.bits64()) << "n=" << n;
+    }
+    // A fork reads the counter too, so it must agree as well.
+    EXPECT_EQ(skipped.fork(1, 2, 3).bits64(), drawn.fork(1, 2, 3).bits64())
+        << "n=" << n;
+  }
+}
+
 TEST(RngStream, ForkedStreamsAreStatisticallyIndependent) {
   // Pooled uniforms over many forked shard streams behave like one
   // uniform sample, and adjacent streams are uncorrelated.

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -226,6 +229,56 @@ TEST(Noise, CompositeAppliesAllParts) {
   }
   // Variances add: sqrt(0.1^2 + 0.1^2).
   EXPECT_NEAR(acc.stddev(), std::sqrt(0.01 + 0.01), 0.01);
+}
+
+// apply() must take exactly draws() 64-bit draws from its stream: the
+// stream afterwards continues where draws() bits64() calls leave it.
+void expect_apply_takes_draws(const NoiseModel& n, double x,
+                              const std::string& where) {
+  Rng applied(12);
+  Rng drawn(12);
+  (void)n.apply(x, 100.0, applied);
+  for (std::size_t i = 0; i < n.draws(); ++i) {
+    (void)drawn.bits64();
+  }
+  EXPECT_EQ(applied.bits64(), drawn.bits64()) << where << " x=" << x;
+}
+
+TEST(Noise, ApplyTakesExactlyDrawsWhateverTheSignal) {
+  const NoNoise none;
+  const GaussianReadNoise gaussian0(0.0);
+  const GaussianReadNoise gaussian(0.02);
+  const ShotNoise shot0(0.0);
+  const ShotNoise shot(0.05);
+  const TiaThermalNoise thermal0(0.0);
+  const TiaThermalNoise thermal(0.1);
+  CompositeNoise composite;
+  composite.add(std::make_unique<ShotNoise>(0.03));
+  composite.add(std::make_unique<GaussianReadNoise>(0.0));
+  composite.add(std::make_unique<GaussianReadNoise>(0.01));
+  composite.add(std::make_unique<TiaThermalNoise>(0.1));
+  const std::pair<const char*, const NoiseModel*> models[] = {
+      {"none", &none},           {"gaussian sigma 0", &gaussian0},
+      {"gaussian", &gaussian},   {"shot k 0", &shot0},
+      {"shot", &shot},           {"thermal sigma 0", &thermal0},
+      {"thermal", &thermal},     {"composite", &composite}};
+  for (const auto& [name, model] : models) {
+    for (const double x : {-2.5, 0.0, 3.25}) {
+      expect_apply_takes_draws(*model, x, name);
+    }
+  }
+  EXPECT_EQ(none.draws(), 0u);
+  EXPECT_EQ(gaussian0.draws(), 0u);
+  EXPECT_EQ(gaussian.draws(), 2u);
+  EXPECT_EQ(shot0.draws(), 0u);
+  EXPECT_EQ(shot.draws(), 2u);
+  EXPECT_EQ(thermal0.draws(), 0u);
+  EXPECT_EQ(thermal.draws(), 2u);
+  EXPECT_EQ(composite.draws(), shot.draws() + gaussian0.draws() +
+                                   gaussian.draws() + thermal.draws());
+  // Shot noise still leaves a non-positive signal as it is.
+  Rng rng(13);
+  EXPECT_DOUBLE_EQ(shot.apply(-1.5, 100.0, rng), -1.5);
 }
 
 TEST(Noise, RejectsNegativeSigmas) {

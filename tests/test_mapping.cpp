@@ -2,9 +2,13 @@
 // functional equivalence against the packed-kernel gold model.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "arch/cost_model.hpp"
+#include "bnn/spec.hpp"
 #include "common/error.hpp"
 #include "device/noise.hpp"
 #include "mapping/custbinarymap.hpp"
@@ -328,6 +332,90 @@ TEST(NoiseDegradation, CorruptedComplementBitIsDetected) {
     }
   }
   EXPECT_TRUE(any_difference);
+}
+
+// --------------------------------------- executed vs modeled conversions --
+
+// Counts its apply() calls, one per analog value converted, and perturbs
+// nothing.
+class CountingNoise final : public dev::NoiseModel {
+ public:
+  [[nodiscard]] double apply(double x, double /*full_scale*/,
+                             RngStream& /*rng*/) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return x;
+  }
+  [[nodiscard]] std::size_t draws() const override { return 0; }
+  [[nodiscard]] std::size_t calls() const { return calls_.load(); }
+
+ private:
+  mutable std::atomic<std::size_t> calls_{0};
+};
+
+// The ADC conversions arch::CostModel charges `windows` inputs of an m x n
+// binary layer on 512 x 512 crossbars: the layer's energy when one
+// conversion costs 1 pJ and every other event nothing.
+double modeled_conversions(bool optical, std::size_t m, std::size_t n,
+                           std::size_t windows) {
+  arch::TechParams p;
+  p.e_dac_row_fj = 0.0;
+  p.e_cell_read_fj = 0.0;
+  p.e_adder_pj = 0.0;
+  p.e_mod_fj = 0.0;
+  p.laser_mw = 0.0;
+  p.e_adc_pj = optical ? 0.0 : 1.0;
+  p.e_adc_opt_pj = optical ? 1.0 : 0.0;
+  const arch::CostModel model(p);
+  const bnn::XnorWorkload w{"fc2", m, n, windows};
+  return (optical ? model.einstein_barrier(w) : model.tacit_epcm(w))
+      .energy_pj;
+}
+
+// The repository benchmark's wdm-mapped shape: MLP-S fc2 (m 500, n 250),
+// two row segments of one 250-column tile each.
+constexpr std::size_t kFc2M = 500;
+constexpr std::size_t kFc2N = 250;
+
+// Noise applications of one execute_batch over the task's first `batch`
+// inputs, whose popcounts must be exact.
+std::size_t noise_applications(const MappedExecutor& mapped,
+                               const XnorPopcountTask& task,
+                               std::size_t batch) {
+  const std::vector<BitVec> inputs(task.inputs.begin(),
+                                   task.inputs.begin() + batch);
+  const CountingNoise noise;
+  RngStream stream(72);
+  const auto got = mapped.execute_batch(inputs, noise, stream);
+  const auto want = task.reference();
+  for (std::size_t i = 0; i < batch; ++i) {
+    EXPECT_EQ(got[i], want[i]) << mapped.descriptor() << " input " << i;
+  }
+  return noise.calls();
+}
+
+TEST(ExecutedConversions, EqualWhatCostModelCharges) {
+  Rng rng(71);
+  const auto task = XnorPopcountTask::random(kFc2M, kFc2N, 17, rng);
+  TacitOpticalConfig optical_cfg;
+  optical_cfg.dims = {512, 512};
+  optical_cfg.wdm_capacity = 16;
+  TacitElectricalConfig electrical_cfg;
+  electrical_cfg.dims = {512, 512};
+  const TacitMapOptical optical(task.weights, optical_cfg);
+  const TacitMapElectrical electrical(task.weights, electrical_cfg);
+  // Below, at and past one WDM pass of 16; at 17 the model charges
+  // 17 x 2 x 250 = 8,500 conversions.
+  for (const std::size_t batch : {1u, 15u, 16u, 17u}) {
+    // The optical path noises each converted column twice: the column
+    // read, then the receiver's TIA.
+    EXPECT_EQ(static_cast<double>(noise_applications(optical, task, batch)),
+              2.0 * modeled_conversions(true, kFc2M, kFc2N, batch))
+        << "batch " << batch;
+    EXPECT_EQ(
+        static_cast<double>(noise_applications(electrical, task, batch)),
+        modeled_conversions(false, kFc2M, kFc2N, batch))
+        << "batch " << batch;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitvec.hpp"
@@ -419,6 +420,136 @@ TEST(OpticalWdmPass, RejectsMismatchedStreamsAndLongDrives) {
   EXPECT_THROW(
       static_cast<void>(xb.wdm_powers(long_drive, 1.0, kNoNoise, one)),
       Error);
+}
+
+// ------------------------------------------- reads of the leading columns --
+
+// One model of each kind, and a composite of all of them.
+struct EveryNoise {
+  dev::NoNoise none;
+  dev::ShotNoise shot{0.05};
+  dev::GaussianReadNoise gaussian{0.02};
+  dev::TiaThermalNoise thermal{0.01};
+  dev::CompositeNoise composite;
+
+  EveryNoise() {
+    composite.add(std::make_unique<dev::ShotNoise>(0.03));
+    composite.add(std::make_unique<dev::GaussianReadNoise>(0.01));
+    composite.add(std::make_unique<dev::TiaThermalNoise>(0.005));
+  }
+
+  [[nodiscard]] std::vector<std::pair<const char*, const dev::NoiseModel*>>
+  models() const {
+    return {{"none", &none},
+            {"shot", &shot},
+            {"gaussian", &gaussian},
+            {"thermal", &thermal},
+            {"composite", &composite}};
+  }
+};
+
+// Column counts below, at and past each candidate's block widths, the
+// wdm-mapped tile width, and the whole crossbar.
+constexpr std::size_t kLeadingCols[] = {1, 7, 31, 32, 33, 250, 512};
+
+TEST(OpticalWdmPass, LeadingColumnsMatchTheFullReadAndItsStreams) {
+  const std::size_t rows = 300;
+  const std::size_t width = 512;
+  const EveryNoise noises;
+  Rng rng(54);
+  for (const bool drifted : {false, true}) {
+    const MirroredCrossbar m({rows, width}, dev::OpcmParams::realistic(),
+                             drifted, rng);
+    for (const std::size_t channels : {1u, 5u, 17u}) {
+      const auto drives = wdm_drives(channels, rows, rng);
+      for (const auto& [name, noise] : noises.models()) {
+        for (const WdmKernel* kernel : supported_wdm_kernels()) {
+          std::vector<RngStream> full_streams;
+          std::vector<RngStream*> full_rngs;
+          full_streams.reserve(channels);
+          for (std::size_t k = 0; k < channels; ++k) {
+            full_streams.emplace_back(2000 + k);
+            full_rngs.push_back(&full_streams.back());
+          }
+          const auto full =
+              m.xb.wdm_powers(*kernel, drives, 0.37, *noise, full_rngs);
+          for (const std::size_t cols : kLeadingCols) {
+            const std::string where =
+                std::string(kernel->name) + " " + name +
+                (drifted ? " drifted" : " pristine") +
+                " channels=" + std::to_string(channels) +
+                " cols=" + std::to_string(cols);
+            std::vector<RngStream> streams;
+            std::vector<RngStream*> rngs;
+            streams.reserve(channels);
+            for (std::size_t k = 0; k < channels; ++k) {
+              streams.emplace_back(2000 + k);
+              rngs.push_back(&streams.back());
+            }
+            const auto got =
+                m.xb.wdm_powers(*kernel, drives, 0.37, *noise, rngs, cols);
+            ASSERT_EQ(got.size(), channels * cols) << where;
+            for (std::size_t k = 0; k < channels; ++k) {
+              EXPECT_TRUE(same_bits(got.data() + k * cols,
+                                    full.data() + k * width, cols))
+                  << where << " channel " << k;
+              RngStream after_full = full_streams[k];
+              EXPECT_EQ(streams[k].bits64(), after_full.bits64())
+                  << where << " channel " << k << " ends elsewhere";
+            }
+          }
+        }
+      }
+    }
+  }
+  const OpticalCrossbar narrow({8, 4}, dev::OpcmParams::ideal());
+  RngStream stream(9);
+  RngStream* const one[] = {&stream};
+  EXPECT_THROW(static_cast<void>(narrow.wdm_powers(
+                   std::vector<BitVec>(1, BitVec(8)), 1.0, kNoNoise, one, 5)),
+               Error);
+}
+
+TEST(ElectricalCrossbar, LeadingColumnsMatchTheFullReadAndItsStream) {
+  const std::size_t rows = 300;
+  const std::size_t width = 512;
+  const EveryNoise noises;
+  Rng rng(55);
+  ElectricalCrossbar xb({rows, width}, dev::EpcmParams::realistic());
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < width; ++c) {
+      xb.program(r, c, rng.bits64() % 2);
+    }
+  }
+  for (const bool drifted : {false, true}) {
+    if (drifted) {
+      xb.set_drift(dev::DriftModel(dev::DriftParams::realistic()), 3600.0,
+                   RngStream(0xD41F7));
+    }
+    for (const auto& [name, noise] : noises.models()) {
+      const BitVec active = BitVec::random(rows - 17, rng);
+      RngStream full_rng(77);
+      const auto full =
+          xb.vmm_currents_bits(active, 0.2, *noise, full_rng, 3600.0);
+      for (const std::size_t cols : kLeadingCols) {
+        const std::string where = std::string(name) +
+                                  (drifted ? " drifted" : " pristine") +
+                                  " cols=" + std::to_string(cols);
+        RngStream lead_rng(77);
+        const auto got =
+            xb.vmm_currents_bits(active, 0.2, *noise, lead_rng, 3600.0, cols);
+        ASSERT_EQ(got.size(), cols) << where;
+        EXPECT_TRUE(same_bits(got.data(), full.data(), cols)) << where;
+        RngStream after_full = full_rng;
+        EXPECT_EQ(lead_rng.bits64(), after_full.bits64())
+            << where << " ends elsewhere";
+      }
+    }
+  }
+  RngStream stream(9);
+  EXPECT_THROW(static_cast<void>(xb.vmm_currents_bits(
+                   BitVec(rows), 0.2, kNoNoise, stream, 0.0, width + 1)),
+               Error);
 }
 
 // ------------------------------------------------------------------- TIA --
