@@ -120,8 +120,9 @@ BENCHMARK(BM_CustBinaryMapExecute);
 // tensors.
 //  * scalar reference : the per-sample path the engine replaced (Tensor
 //    in, bit-by-bit binarize, one BitVec::signed_dot per weight row) --
-//    reproduced verbatim here so the replaced schedule stays measurable;
-//  * forward          : today's per-sample path (packed row sweep);
+//    reproduced here, over one BitVec per weight row as the seed's layer
+//    held them, so the replaced schedule stays measurable;
+//  * forward          : today's per-sample path (a one-row GEMM);
 //  * forward_batch    : the batched engine (pack the batch once, one
 //    fused XNOR+Popcount GEMM).
 // All three produce bit-identical outputs.
@@ -130,22 +131,26 @@ constexpr std::size_t kEngineDim = 1024;
 constexpr std::size_t kEngineBatch = 64;
 
 // The seed's BinaryDenseLayer::forward, before the packed engine landed.
-eb::bnn::Tensor scalar_reference_forward(const eb::bnn::BinaryDenseLayer& l,
+eb::bnn::Tensor scalar_reference_forward(const std::vector<eb::BitVec>& w,
                                          const eb::bnn::Tensor& x) {
   const eb::BitVec xb = eb::bnn::binarize(x);
-  const auto& w = l.weights();
-  eb::bnn::Tensor out({w.rows()});
-  for (std::size_t r = 0; r < w.rows(); ++r) {
-    out[r] = static_cast<double>(w.row(r).signed_dot(xb));
+  eb::bnn::Tensor out({w.size()});
+  for (std::size_t r = 0; r < w.size(); ++r) {
+    out[r] = static_cast<double>(w[r].signed_dot(xb));
   }
   return out;
 }
 
 struct EngineFixture {
   eb::bnn::BinaryDenseLayer layer;
+  std::vector<eb::BitVec> rows;  // the layer's weights, one BitVec a row
   std::vector<eb::bnn::Tensor> batch;
 
-  EngineFixture() : layer(make_layer()), batch(make_batch()) {}
+  EngineFixture() : layer(make_layer()), batch(make_batch()) {
+    for (std::size_t r = 0; r < layer.weights().rows(); ++r) {
+      rows.push_back(layer.weights().row(r));
+    }
+  }
 
   static eb::bnn::BinaryDenseLayer make_layer() {
     eb::Rng rng(8);
@@ -173,7 +178,7 @@ void BM_ScalarReferenceDense(benchmark::State& state) {
   const auto& f = engine_fixture();
   for (auto _ : state) {
     for (const auto& x : f.batch) {
-      benchmark::DoNotOptimize(scalar_reference_forward(f.layer, x));
+      benchmark::DoNotOptimize(scalar_reference_forward(f.rows, x));
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -499,7 +504,7 @@ void report_engine_speedup() {
   };
   const double reference_s = time_min_s([&f] {
     for (const auto& x : f.batch) {
-      benchmark::DoNotOptimize(scalar_reference_forward(f.layer, x));
+      benchmark::DoNotOptimize(scalar_reference_forward(f.rows, x));
     }
   });
   const double forward_s = time_min_s([&f] {
@@ -518,7 +523,7 @@ void report_engine_speedup() {
       kEngineDim, kEngineDim, kEngineBatch);
   std::printf("scalar reference (replaced path) : %8.3f ms  (%6.1f Gbitop/s)\n",
               reference_s * 1e3, ops / reference_s * 1e-9);
-  std::printf("per-sample forward (packed rows) : %8.3f ms  (%6.1f Gbitop/s)\n",
+  std::printf("per-sample forward (1-row GEMM)  : %8.3f ms  (%6.1f Gbitop/s)\n",
               forward_s * 1e3, ops / forward_s * 1e-9);
   std::printf("packed batched engine            : %8.3f ms  (%6.1f Gbitop/s)\n",
               packed_s * 1e3, ops / packed_s * 1e-9);
@@ -590,8 +595,8 @@ constexpr double kCiMinSpeedup = 1.15;
 // Min-of-reps time of one full batched sweep (all x rows against all
 // weight rows), with a calibrated inner iteration count so small shapes
 // are not noise-bound.
-double time_sweep_ns(eb::bnn::SweepXnorFn sweep, const eb::bnn::PackedMatrix& x,
-                     const eb::bnn::PackedMatrix& w) {
+double time_sweep_ns(eb::bnn::SweepXnorFn sweep, const eb::BitMatrix& x,
+                     const eb::BitMatrix& w) {
   const std::size_t nw = w.words_per_row();
   std::vector<std::uint32_t> out(w.rows());
   const auto unit = [&] {
@@ -638,15 +643,9 @@ int run_kernel_matrix(const std::string& mode, const std::string& json_path,
 
   for (const std::size_t cols : cols_grid) {
     eb::Rng rng(0x3A7 + cols);
-    eb::bnn::PackedMatrix w(kMatrixRows, cols);
-    for (std::size_t r = 0; r < kMatrixRows; ++r) {
-      w.set_row(r, eb::BitVec::random(cols, rng));
-    }
+    const eb::BitMatrix w = eb::BitMatrix::random(kMatrixRows, cols, rng);
     for (const std::size_t batch : batch_grid) {
-      eb::bnn::PackedMatrix x(batch, cols);
-      for (std::size_t r = 0; r < batch; ++r) {
-        x.set_row(r, eb::BitVec::random(cols, rng));
-      }
+      const eb::BitMatrix x = eb::BitMatrix::random(batch, cols, rng);
       const double bitops =
           static_cast<double>(batch) * static_cast<double>(kMatrixRows) *
           static_cast<double>(cols);

@@ -56,24 +56,20 @@ int main(int argc, char** argv) {
 
   // Map the kernels with TacitMap on oPCM and push all 64 windows through
   // in WDM batches of 16 (paper Fig. 5-(b)).
-  BitMatrix kernels(geom.out_ch, geom.kernel * geom.kernel * geom.in_ch);
-  for (std::size_t oc = 0; oc < geom.out_ch; ++oc) {
-    kernels.row(oc) = conv.kernels()[oc];
-  }
   map::TacitOpticalConfig ocfg;
-  const map::TacitMapOptical mapped(kernels, ocfg);
+  const map::TacitMapOptical mapped(conv.kernels(), ocfg);
 
   // All windows through one execute_batch call: the executor tiles them
   // into ceil(B / wdm_capacity) WDM passes internally (the hand-rolled
-  // chunking this example used to do itself).
+  // chunking this example used to do itself). Window k sits at output
+  // position (k / out_w, k % out_w).
+  BitMatrix im2col(geom.out_h() * geom.out_w(), conv.kernels().cols());
+  bnn::pack_im2col_rows(im2col, 0, act, geom);
   std::vector<std::pair<std::size_t, std::size_t>> positions;
   std::vector<BitVec> windows;
-  for (std::size_t oh = 0; oh < geom.out_h(); ++oh) {
-    for (std::size_t ow = 0; ow < geom.out_w(); ++ow) {
-      windows.push_back(
-          bnn::BinaryConv2dLayer::im2col_window(act, geom, oh, ow));
-      positions.emplace_back(oh, ow);
-    }
+  for (std::size_t k = 0; k < im2col.rows(); ++k) {
+    windows.push_back(im2col.row(k));
+    positions.emplace_back(k / geom.out_w(), k % geom.out_w());
   }
   const auto counts = mapped.execute_batch(windows, no_noise, rng);
   std::size_t mismatches = 0;

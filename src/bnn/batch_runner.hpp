@@ -4,8 +4,8 @@
 // through every layer -- the right tool for tracing and mapping
 // validation, but a per-sample schedule. BatchRunner drives a whole batch
 // per layer step instead: binary layers pack the batch's activations into
-// a PackedMatrix and run one fused XNOR+Popcount GEMM against the layer's
-// packed weights; every other layer kind fans the batch out across a
+// a BitMatrix and run one fused XNOR+Popcount GEMM against the layer's
+// weight rows; every other layer kind fans the batch out across a
 // thread pool. Outputs are bit-identical to the per-sample path (the
 // binary kernels are exact integer popcounts and the float layers run the
 // very same per-sample code).

@@ -7,21 +7,7 @@
 namespace eb::bnn {
 
 BitVec binarize(const Tensor& t) {
-  BitVec bits(t.size());
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    bits.set(i, t[i] >= 0.0);
-  }
-  return bits;
-}
-
-BitVec binarize_thresholded(const Tensor& t, const std::vector<double>& thr) {
-  EB_REQUIRE(t.size() == thr.size(),
-             "threshold vector must match tensor size");
-  BitVec bits(t.size());
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    bits.set(i, t[i] >= thr[i]);
-  }
-  return bits;
+  return BitVec::pack(t.size(), [&t](std::size_t i) { return t[i] >= 0.0; });
 }
 
 Tensor to_signed_tensor(const BitVec& bits, std::vector<std::size_t> shape) {

@@ -23,12 +23,6 @@ namespace eb::bnn {
 // bit i = 1 iff t[i] >= 0.
 [[nodiscard]] BitVec binarize(const Tensor& t);
 
-// Binarize with an explicit per-element threshold vector (used when a
-// BatchNorm+Sign pair is folded into thresholds): bit i = 1 iff
-// t[i] >= thresholds[i].
-[[nodiscard]] BitVec binarize_thresholded(const Tensor& t,
-                                          const std::vector<double>& thr);
-
 // Expand a packed bit vector back into a {-1,+1} tensor of the given shape.
 [[nodiscard]] Tensor to_signed_tensor(const BitVec& bits,
                                       std::vector<std::size_t> shape);

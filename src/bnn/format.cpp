@@ -64,11 +64,14 @@ void put_panels(std::vector<std::uint8_t>& out, const PanelMatrix& w) {
   }
 }
 
-// Packed bit payload of one BitVec: ceil(n/64) little-endian u64 words
-// (the in-memory words are already zero-padded past the last bit).
-void put_bits(std::vector<std::uint8_t>& out, const BitVec& bits) {
-  for (const std::uint64_t w : bits.words()) {
-    put_u64(out, w);
+// A binary layer's packed rows: ceil(cols/64) little-endian u64 words per
+// row, copied straight from the slab (its padding is already zero).
+void put_bit_rows(std::vector<std::uint8_t>& out, const BitMatrix& m) {
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    const std::uint64_t* words = m.row_words(r);
+    for (std::size_t w = 0; w < m.words_per_row(); ++w) {
+      put_u64(out, words[w]);
+    }
   }
 }
 
@@ -154,25 +157,23 @@ struct Reader {
   }
 };
 
-BitVec get_bits(Reader& r, std::size_t nbits, const char* what) {
-  const std::size_t words = (nbits + 63) / 64;
-  r.take_check(words * 8, what);
-  BitVec bits(nbits);
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t v = r.get_u64(what);
-    const std::size_t base = w * 64;
-    const std::size_t top = std::min(nbits - base, std::size_t{64});
-    for (std::size_t i = 0; i < top; ++i) {
-      if ((v >> i) & 1u) {
-        bits.set(base + i, true);
-      }
+// Reads `rows` packed rows of `cols` bits word for word into a new slab.
+// The caller has checked that the whole payload is present.
+BitMatrix get_bit_rows(Reader& r, std::size_t rows, std::size_t cols,
+                       const char* what) {
+  BitMatrix m(rows, cols);
+  const std::size_t tail = cols % 64;
+  for (std::size_t rr = 0; rr < rows; ++rr) {
+    std::uint64_t* words = m.row_words(rr);
+    for (std::size_t w = 0; w < m.words_per_row(); ++w) {
+      words[w] = r.get_u64(what);
     }
     // Tampered padding bits past the last column would silently survive a
     // re-encode; reject them so encode(decode(x)) == x byte-for-byte.
-    EB_REQUIRE(top == 64 || (v >> top) == 0,
+    EB_REQUIRE(tail == 0 || (words[m.words_per_row() - 1] >> tail) == 0,
                std::string("ebm: nonzero padding bits in ") + what);
   }
-  return bits;
+  return m;
 }
 
 std::uint8_t precision_tag(Precision p) {
@@ -234,9 +235,7 @@ void encode_layer(std::vector<std::uint8_t>& out, const Layer& layer) {
     put_str(body, bd->name());
     put_u32(body, static_cast<std::uint32_t>(bd->weights().rows()));
     put_u32(body, static_cast<std::uint32_t>(bd->weights().cols()));
-    for (std::size_t rr = 0; rr < bd->weights().rows(); ++rr) {
-      put_bits(body, bd->weights().row(rr));
-    }
+    put_bit_rows(body, bd->weights());
   } else if (const auto* c = dynamic_cast<const Conv2dLayer*>(&layer)) {
     type = EbmLayerType::kConv2d;
     put_str(body, c->name());
@@ -248,9 +247,7 @@ void encode_layer(std::vector<std::uint8_t>& out, const Layer& layer) {
     type = EbmLayerType::kBinaryConv2d;
     put_str(body, bc->name());
     put_geom(body, bc->geom());
-    for (const BitVec& k : bc->kernels()) {
-      put_bits(body, k);
-    }
+    put_bit_rows(body, bc->kernels());
   } else if (const auto* bn = dynamic_cast<const BatchNormLayer*>(&layer)) {
     type = EbmLayerType::kBatchNorm;
     put_str(body, bn->name());
@@ -306,19 +303,15 @@ void decode_layer(Network& net, EbmLayerType type, Reader& r) {
     case EbmLayerType::kBinaryDense: {
       std::string name = r.get_str("binary dense name");
       const std::size_t rows = r.get_dim(8, "binary dense rows");
-      const std::size_t cols = r.get_dim(8, "binary dense cols");
+      // A column is one bit, not eight bytes, so cols is bounded by the cap
+      // alone; the payload check below bounds the allocation.
+      const std::size_t cols = r.get_dim(0, "binary dense cols");
       // The whole packed payload must be present before the matrix is
       // allocated: rows and cols are individually bounded, but their
       // product is what the allocation costs.
       r.take_check(rows * ((cols + 63) / 64) * 8, "binary dense payload");
-      BitMatrix w(rows, cols);
-      for (std::size_t rr = 0; rr < rows; ++rr) {
-        const BitVec row = get_bits(r, cols, "binary dense row");
-        for (std::size_t cc = 0; cc < cols; ++cc) {
-          w.set(rr, cc, row.get(cc));
-        }
-      }
-      net.add(BinaryDenseLayer(std::move(name), std::move(w)));
+      net.add(BinaryDenseLayer(
+          std::move(name), get_bit_rows(r, rows, cols, "binary dense row")));
       return;
     }
     case EbmLayerType::kConv2d: {
@@ -341,12 +334,9 @@ void decode_layer(Network& net, EbmLayerType type, Reader& r) {
       const std::size_t m = g.kernel * g.kernel * g.in_ch;
       EB_REQUIRE(m <= kEbmMaxDim, "ebm: dimension too large in binary conv");
       r.take_check(g.out_ch * ((m + 63) / 64) * 8, "binary conv payload");
-      std::vector<BitVec> kernels;
-      kernels.reserve(g.out_ch);
-      for (std::size_t oc = 0; oc < g.out_ch; ++oc) {
-        kernels.push_back(get_bits(r, m, "binary conv kernel"));
-      }
-      net.add(BinaryConv2dLayer(std::move(name), g, std::move(kernels)));
+      net.add(BinaryConv2dLayer(
+          std::move(name), g,
+          get_bit_rows(r, g.out_ch, m, "binary conv kernel")));
       return;
     }
     case EbmLayerType::kBatchNorm: {

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "bnn/binarize.hpp"
+#include "bnn/packed.hpp"
 #include "bnn/real_gemm.hpp"
 #include "common/error.hpp"
 
@@ -110,9 +111,7 @@ LayerSpec DenseLayer::spec() const {
 // ---------------------------------------------------------- BinaryDense --
 
 BinaryDenseLayer::BinaryDenseLayer(std::string name, BitMatrix weights)
-    : name_(std::move(name)),
-      weights_(std::move(weights)),
-      packed_(PackedMatrix::from_bit_matrix(weights_)) {}
+    : name_(std::move(name)), weights_(std::move(weights)) {}
 
 BinaryDenseLayer BinaryDenseLayer::random(std::string name, std::size_t in,
                                           std::size_t out, Rng& rng) {
@@ -120,12 +119,18 @@ BinaryDenseLayer BinaryDenseLayer::random(std::string name, std::size_t in,
 }
 
 Tensor BinaryDenseLayer::forward(const Tensor& x) const {
-  const BitVec xb = binarize(x);
-  const auto y = forward_bits(xb);
-  Tensor out({y.size()});
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    out[i] = static_cast<double>(y[i]);
-  }
+  const std::size_t in = weights_.cols();
+  EB_REQUIRE(x.size() == in, "binary dense input size mismatch in " + name_);
+  BitMatrix xb(1, in);
+  xb.set_row_signs(0, x.data(), in);
+  Tensor out({weights_.rows()});
+  xnor_signed_gemm_visit(
+      xb, weights_,
+      [&out](std::size_t, const std::int32_t* vals, std::size_t n) {
+        for (std::size_t o = 0; o < n; ++o) {
+          out[o] = static_cast<double>(vals[o]);
+        }
+      });
   return out;
 }
 
@@ -133,7 +138,7 @@ std::vector<Tensor> BinaryDenseLayer::forward_batch(
     std::span<const Tensor> xs, ThreadPool& pool) const {
   const std::size_t in = weights_.cols();
   const std::size_t out_n = weights_.rows();
-  PackedMatrix x(xs.size(), in);
+  BitMatrix x(xs.size(), in);
   pool.parallel_for(0, xs.size(), 8, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       EB_REQUIRE(xs[i].size() == in,
@@ -143,7 +148,7 @@ std::vector<Tensor> BinaryDenseLayer::forward_batch(
   });
   std::vector<Tensor> out(xs.size(), Tensor({out_n}));
   xnor_signed_gemm_visit(
-      x, packed_,
+      x, weights_,
       [&out](std::size_t i, const std::int32_t* vals, std::size_t n) {
         double* dst = out[i].data();
         for (std::size_t o = 0; o < n; ++o) {
@@ -152,18 +157,6 @@ std::vector<Tensor> BinaryDenseLayer::forward_batch(
       },
       &pool);
   return out;
-}
-
-std::vector<long long> BinaryDenseLayer::forward_bits(const BitVec& x) const {
-  EB_REQUIRE(x.size() == weights_.cols(),
-             "binary dense input size mismatch in " + name_);
-  const auto pc = xnor_popcount_rows(packed_, x);
-  const auto m = static_cast<long long>(weights_.cols());
-  std::vector<long long> y(pc.size());
-  for (std::size_t r = 0; r < pc.size(); ++r) {
-    y[r] = 2LL * static_cast<long long>(pc[r]) - m;
-  }
-  return y;
 }
 
 LayerSpec BinaryDenseLayer::spec() const {
@@ -341,62 +334,28 @@ LayerSpec Conv2dLayer::spec() const {
 // --------------------------------------------------------- BinaryConv2d --
 
 BinaryConv2dLayer::BinaryConv2dLayer(std::string name, Conv2dGeom geom,
-                                     std::vector<BitVec> kernels)
+                                     BitMatrix kernels)
     : name_(std::move(name)), geom_(geom), kernels_(std::move(kernels)) {
-  EB_REQUIRE(kernels_.size() == geom_.out_ch,
+  EB_REQUIRE(kernels_.rows() == geom_.out_ch,
              "one kernel per output channel required");
-  const std::size_t m = geom_.kernel * geom_.kernel * geom_.in_ch;
-  for (const auto& k : kernels_) {
-    EB_REQUIRE(k.size() == m, "kernel length mismatch");
-  }
-  packed_ = PackedMatrix::from_rows(kernels_);
+  EB_REQUIRE(kernels_.cols() == geom_.kernel * geom_.kernel * geom_.in_ch,
+             "kernel length mismatch");
 }
 
 BinaryConv2dLayer BinaryConv2dLayer::random(std::string name, Conv2dGeom geom,
                                             Rng& rng) {
   const std::size_t m = geom.kernel * geom.kernel * geom.in_ch;
-  std::vector<BitVec> kernels;
-  kernels.reserve(geom.out_ch);
-  for (std::size_t oc = 0; oc < geom.out_ch; ++oc) {
-    kernels.push_back(BitVec::random(m, rng));
-  }
-  return BinaryConv2dLayer(std::move(name), geom, std::move(kernels));
+  return BinaryConv2dLayer(std::move(name), geom,
+                           BitMatrix::random(geom.out_ch, m, rng));
 }
 
-BitVec BinaryConv2dLayer::im2col_window(const Tensor& x, const Conv2dGeom& geom,
-                                        std::size_t oh, std::size_t ow) {
-  const std::size_t m = geom.kernel * geom.kernel * geom.in_ch;
-  BitVec bits(m);
-  std::size_t idx = 0;
-  for (std::size_t ic = 0; ic < geom.in_ch; ++ic) {
-    for (std::size_t kh = 0; kh < geom.kernel; ++kh) {
-      for (std::size_t kw = 0; kw < geom.kernel; ++kw, ++idx) {
-        const long long r =
-            conv_in_coord(oh, geom.stride, kh, geom.pad, geom.in_h);
-        const long long c =
-            conv_in_coord(ow, geom.stride, kw, geom.pad, geom.in_w);
-        if (r < 0 || c < 0) {
-          bits.set(idx, false);  // pad -> -1 in the signed interpretation
-          continue;
-        }
-        bits.set(idx, x.at({ic, static_cast<std::size_t>(r),
-                            static_cast<std::size_t>(c)}) >= 0.0);
-      }
-    }
-  }
-  return bits;
-}
-
-namespace {
-
-// Packs every im2col window of one sample into consecutive rows of `dst`
-// starting at `row0` (row order: oh-major, ow-minor). Bits go straight
-// from the input tensor into the PackedMatrix word slab -- no per-window
-// BitVec round trip -- accumulating 64 sign bits at a time in (ic, kh,
-// kw) order, the same order im2col_window uses. Padding positions pack as
-// 0 (-1 in the signed interpretation).
-void pack_im2col_rows(PackedMatrix& dst, std::size_t row0, const Tensor& x,
+// Bits go straight from the input tensor into the slab, 64 sign bits at a
+// time in (ic, kh, kw) order.
+void pack_im2col_rows(BitMatrix& dst, std::size_t row0, const Tensor& x,
                       const Conv2dGeom& geom) {
+  EB_REQUIRE(x.size() == geom.in_ch * geom.in_h * geom.in_w &&
+                 dst.cols() == geom.kernel * geom.kernel * geom.in_ch,
+             "im2col input or row width does not match the geometry");
   const std::size_t oh = geom.out_h();
   const std::size_t ow = geom.out_w();
   const double* src = x.data();
@@ -437,6 +396,8 @@ void pack_im2col_rows(PackedMatrix& dst, std::size_t row0, const Tensor& x,
   }
 }
 
+namespace {
+
 // Scatters one im2col window's GEMM row (out_ch signed products, window
 // index `win` within the sample) into the [out_ch, oh, ow] tensor.
 void scatter_conv_row(Tensor& y, std::size_t win, const std::int32_t* vals,
@@ -455,11 +416,11 @@ Tensor BinaryConv2dLayer::forward(const Tensor& x) const {
                  x.dim(1) == geom_.in_h && x.dim(2) == geom_.in_w,
              "binary conv input shape mismatch in " + name_);
   const std::size_t windows = geom_.out_h() * geom_.out_w();
-  PackedMatrix xw(windows, packed_.cols());
+  BitMatrix xw(windows, kernels_.cols());
   pack_im2col_rows(xw, 0, x, geom_);
   Tensor y({geom_.out_ch, geom_.out_h(), geom_.out_w()});
   xnor_signed_gemm_visit(
-      xw, packed_,
+      xw, kernels_,
       [&y, this](std::size_t win, const std::int32_t* vals, std::size_t) {
         scatter_conv_row(y, win, vals, geom_);
       });
@@ -469,7 +430,7 @@ Tensor BinaryConv2dLayer::forward(const Tensor& x) const {
 std::vector<Tensor> BinaryConv2dLayer::forward_batch(
     std::span<const Tensor> xs, ThreadPool& pool) const {
   const std::size_t windows = geom_.out_h() * geom_.out_w();
-  PackedMatrix xw(xs.size() * windows, packed_.cols());
+  BitMatrix xw(xs.size() * windows, kernels_.cols());
   pool.parallel_for(0, xs.size(), 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
       EB_REQUIRE(xs[s].rank() == 3 && xs[s].dim(0) == geom_.in_ch &&
@@ -481,7 +442,7 @@ std::vector<Tensor> BinaryConv2dLayer::forward_batch(
   std::vector<Tensor> out(
       xs.size(), Tensor({geom_.out_ch, geom_.out_h(), geom_.out_w()}));
   xnor_signed_gemm_visit(
-      xw, packed_,
+      xw, kernels_,
       [&out, windows, this](std::size_t row, const std::int32_t* vals,
                             std::size_t) {
         scatter_conv_row(out[row / windows], row % windows, vals, geom_);

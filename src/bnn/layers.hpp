@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "bnn/packed.hpp"
 #include "bnn/real_gemm.hpp"
 #include "bnn/spec.hpp"
 #include "bnn/tensor.hpp"
@@ -83,10 +82,11 @@ class DenseLayer final : public Layer {
 };
 
 // Binarized dense layer. Expects +/-1 inputs (output of a Sign layer);
-// produces integer-valued pre-activations 2*popcount - m.
+// produces integer-valued pre-activations 2*popcount - m. forward() runs
+// its one sample through the same XNOR GEMM as forward_batch().
 class BinaryDenseLayer final : public Layer {
  public:
-  // weights: one BitVec row per output neuron, each of length in_features.
+  // weights: one row per output neuron, each of length in_features.
   BinaryDenseLayer(std::string name, BitMatrix weights);
 
   [[nodiscard]] static BinaryDenseLayer random(std::string name,
@@ -97,8 +97,6 @@ class BinaryDenseLayer final : public Layer {
   // One fused GEMM over the whole batch of binarized activations.
   [[nodiscard]] std::vector<Tensor> forward_batch(
       std::span<const Tensor> xs, ThreadPool& pool) const override;
-  // Packed fast path: y[j] = 2*popcount(x XNOR w_j) - m.
-  [[nodiscard]] std::vector<long long> forward_bits(const BitVec& x) const;
 
   [[nodiscard]] LayerSpec spec() const override;
   [[nodiscard]] std::string name() const override { return name_; }
@@ -108,7 +106,6 @@ class BinaryDenseLayer final : public Layer {
  private:
   std::string name_;
   BitMatrix weights_;
-  PackedMatrix packed_;  // contiguous copy of weights_, built once
 };
 
 // Higher-precision conv layer (first layer of the CNNs). Its weights are
@@ -148,10 +145,9 @@ class Conv2dLayer final : public Layer {
 // packed XNOR+Popcount over im2col windows.
 class BinaryConv2dLayer final : public Layer {
  public:
-  // kernels: one BitVec per output channel, length k*k*in_ch, bit order
-  // (in_ch, kh, kw) row-major -- the same order im2col_window uses.
-  BinaryConv2dLayer(std::string name, Conv2dGeom geom,
-                    std::vector<BitVec> kernels);
+  // kernels: one row per output channel, k*k*in_ch bits in (in_ch, kh, kw)
+  // row-major order -- the order pack_im2col_rows packs windows in.
+  BinaryConv2dLayer(std::string name, Conv2dGeom geom, BitMatrix kernels);
 
   [[nodiscard]] static BinaryConv2dLayer random(std::string name,
                                                 Conv2dGeom geom, Rng& rng);
@@ -163,21 +159,21 @@ class BinaryConv2dLayer final : public Layer {
   [[nodiscard]] LayerSpec spec() const override;
   [[nodiscard]] std::string name() const override { return name_; }
 
-  [[nodiscard]] const std::vector<BitVec>& kernels() const { return kernels_; }
+  [[nodiscard]] const BitMatrix& kernels() const { return kernels_; }
   [[nodiscard]] const Conv2dGeom& geom() const { return geom_; }
-
-  // Extracts the binarized im2col window at output position (oh, ow) from a
-  // +/-1 input tensor [C,H,W]. Padding positions binarize to 0 (-1).
-  [[nodiscard]] static BitVec im2col_window(const Tensor& x,
-                                            const Conv2dGeom& geom,
-                                            std::size_t oh, std::size_t ow);
 
  private:
   std::string name_;
   Conv2dGeom geom_;
-  std::vector<BitVec> kernels_;
-  PackedMatrix packed_;  // contiguous copy of kernels_, built once
+  BitMatrix kernels_;
 };
+
+// Packs every binarized im2col window of one +/-1 input [C,H,W] into the
+// out_h*out_w consecutive rows of `dst` from `row0` (oh-major, ow-minor),
+// each row k*k*in_ch bits in (in_ch, kh, kw) order. Bit = 1 iff the input
+// is >= 0; padding positions pack as 0 (-1 in the signed interpretation).
+void pack_im2col_rows(BitMatrix& dst, std::size_t row0, const Tensor& x,
+                      const Conv2dGeom& geom);
 
 // Folded BatchNorm+Sign comparison: channel c of sign(BN(x)) is
 //   +1  iff  (flip[c] ? x <= thr[c] : x >= thr[c]).

@@ -1,18 +1,13 @@
 #include "bnn/packed.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "bnn/autotune.hpp"
 #include "bnn/kernels.hpp"
 #include "common/error.hpp"
 
 namespace eb::bnn {
-
-namespace {
-
-std::size_t word_count(std::size_t bits) { return (bits + 63) / 64; }
-
-}  // namespace
 
 // The XNOR+popcount kernels themselves live in bnn/kernels.cpp (a named
 // registry of candidates); which candidate runs a given call is decided
@@ -27,114 +22,6 @@ std::size_t xnor_popcount_words(const std::uint64_t* a, const std::uint64_t* b,
   return raw - pad_bits;
 }
 
-// ---------------------------------------------------------- PackedMatrix --
-
-PackedMatrix::PackedMatrix(std::size_t rows, std::size_t cols)
-    : rows_(rows),
-      cols_(cols),
-      words_per_row_(word_count(cols)),
-      words_(rows * words_per_row_, 0) {}
-
-PackedMatrix PackedMatrix::from_bit_matrix(const BitMatrix& m) {
-  PackedMatrix out(m.rows(), m.cols());
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    out.set_row(r, m.row(r));
-  }
-  return out;
-}
-
-PackedMatrix PackedMatrix::from_rows(const std::vector<BitVec>& rows) {
-  if (rows.empty()) {
-    return {};
-  }
-  PackedMatrix out(rows.size(), rows.front().size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    out.set_row(r, rows[r]);
-  }
-  return out;
-}
-
-void PackedMatrix::set_row(std::size_t r, const BitVec& bits) {
-  EB_REQUIRE(r < rows_, "row index out of range");
-  EB_REQUIRE(bits.size() == cols_, "row length mismatch");
-  std::uint64_t* row = row_words(r);
-  std::copy(bits.words().begin(), bits.words().end(), row);
-  // BitVec keeps its padding zeroed, but the GEMM kernels' pad-bit
-  // subtraction silently corrupts if that ever stops holding -- re-mask.
-  const std::size_t rem = cols_ % 64;
-  if (rem != 0) {
-    row[words_per_row_ - 1] &= (1ULL << rem) - 1ULL;
-  }
-}
-
-void PackedMatrix::set_row_signs(std::size_t r, const double* values,
-                                 std::size_t n) {
-  EB_REQUIRE(r < rows_, "row index out of range");
-  EB_REQUIRE(n == cols_, "row length mismatch");
-  std::uint64_t* row = row_words(r);
-  for (std::size_t w = 0; w < words_per_row_; ++w) {
-    const std::size_t base = w * 64;
-    const std::size_t bits = std::min<std::size_t>(64, cols_ - base);
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; b < bits; ++b) {
-      word |= static_cast<std::uint64_t>(values[base + b] >= 0.0) << b;
-    }
-    row[w] = word;
-  }
-}
-
-void PackedMatrix::set_row_thresholded(std::size_t r, const double* values,
-                                       const double* thresholds,
-                                       std::size_t n) {
-  EB_REQUIRE(r < rows_, "row index out of range");
-  EB_REQUIRE(n == cols_, "row length mismatch");
-  std::uint64_t* row = row_words(r);
-  for (std::size_t w = 0; w < words_per_row_; ++w) {
-    const std::size_t base = w * 64;
-    const std::size_t bits = std::min<std::size_t>(64, cols_ - base);
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; b < bits; ++b) {
-      word |= static_cast<std::uint64_t>(values[base + b] >=
-                                         thresholds[base + b])
-              << b;
-    }
-    row[w] = word;
-  }
-}
-
-void PackedMatrix::set(std::size_t r, std::size_t c, bool v) {
-  EB_REQUIRE(r < rows_ && c < cols_, "bit index out of range");
-  const std::uint64_t mask = 1ULL << (c % 64);
-  std::uint64_t& word = row_words(r)[c / 64];
-  word = v ? (word | mask) : (word & ~mask);
-}
-
-bool PackedMatrix::get(std::size_t r, std::size_t c) const {
-  EB_REQUIRE(r < rows_ && c < cols_, "bit index out of range");
-  return (row_words(r)[c / 64] >> (c % 64)) & 1ULL;
-}
-
-const std::uint64_t* PackedMatrix::row_words(std::size_t r) const {
-  EB_REQUIRE(r < rows_, "row index out of range");
-  return words_.data() + r * words_per_row_;
-}
-
-std::uint64_t* PackedMatrix::row_words(std::size_t r) {
-  EB_REQUIRE(r < rows_, "row index out of range");
-  return words_.data() + r * words_per_row_;
-}
-
-BitVec PackedMatrix::row_bitvec(std::size_t r) const {
-  BitVec out(cols_);
-  const std::uint64_t* row = row_words(r);
-  for (std::size_t c = 0; c < cols_; ++c) {
-    if ((row[c / 64] >> (c % 64)) & 1ULL) {
-      out.set(c, true);
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------- kernels --
 
 namespace {
@@ -144,7 +31,7 @@ namespace {
 // matches included), then `emit(i, raw, wn)` translates/places the row
 // while it is still cache-hot.
 template <typename EmitRow>
-void gemm_driver(const PackedMatrix& x, const PackedMatrix& w,
+void gemm_driver(const BitMatrix& x, const BitMatrix& w,
                  ThreadPool* pool, EmitRow emit) {
   EB_REQUIRE(x.cols() == w.cols(), "GEMM operand width mismatch");
   const std::size_t nw = x.words_per_row();
@@ -178,7 +65,7 @@ void gemm_driver(const PackedMatrix& x, const PackedMatrix& w,
 
 }  // namespace
 
-void xnor_popcount_gemm(const PackedMatrix& x, const PackedMatrix& w,
+void xnor_popcount_gemm(const BitMatrix& x, const BitMatrix& w,
                         std::uint32_t* out, ThreadPool* pool) {
   const auto pad = static_cast<std::uint32_t>(x.pad_bits());
   gemm_driver(x, w, pool,
@@ -192,7 +79,7 @@ void xnor_popcount_gemm(const PackedMatrix& x, const PackedMatrix& w,
 }
 
 void xnor_signed_gemm_visit(
-    const PackedMatrix& x, const PackedMatrix& w,
+    const BitMatrix& x, const BitMatrix& w,
     const std::function<void(std::size_t, const std::int32_t*, std::size_t)>&
         visit,
     ThreadPool* pool) {
@@ -210,7 +97,7 @@ void xnor_signed_gemm_visit(
               });
 }
 
-void xnor_signed_gemm(const PackedMatrix& x, const PackedMatrix& w,
+void xnor_signed_gemm(const BitMatrix& x, const BitMatrix& w,
                       std::int32_t* out, ThreadPool* pool) {
   xnor_signed_gemm_visit(
       x, w,
@@ -218,25 +105,6 @@ void xnor_signed_gemm(const PackedMatrix& x, const PackedMatrix& w,
         std::copy(vals, vals + n, out + i * n);
       },
       pool);
-}
-
-std::vector<std::size_t> xnor_popcount_rows(const PackedMatrix& w,
-                                            const BitVec& x) {
-  EB_REQUIRE(x.size() == w.cols(), "input length must match weight length");
-  if (w.rows() == 0) {
-    return {};
-  }
-  const std::size_t pad = w.pad_bits();
-  std::vector<std::uint32_t> raw(w.rows());
-  const Kernel& k =
-      Autotuner::instance().pick_xnor(w.rows(), w.words_per_row(), 1);
-  k.sweep(x.words().data(), w.row_words(0), w.rows(), w.words_per_row(),
-          raw.data());
-  std::vector<std::size_t> out(w.rows());
-  for (std::size_t j = 0; j < w.rows(); ++j) {
-    out[j] = raw[j] - pad;
-  }
-  return out;
 }
 
 }  // namespace eb::bnn

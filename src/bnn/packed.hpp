@@ -1,11 +1,10 @@
-// Contiguous packed bit matrices and the fused XNOR+Popcount GEMM kernels.
+// The fused XNOR+Popcount GEMM entry points over packed bit matrices.
 //
-// BitVec / BitMatrix are the reference containers: one heap vector per
-// row, bit-by-bit accessors, checks on every call. That is right for the
-// mapping validators but wrong for the hot inference path, where a whole
-// batch of activations hits every weight vector of a layer. PackedMatrix
-// stores all rows in one 64-bit-word-aligned slab so the batched kernels
-// stream x-row against w-row with zero indirection:
+// X and W are eb::BitMatrix slabs (common/bitvec.hpp): every row padded to
+// whole 64-bit words, padding zero. A binary layer's weights, its batch
+// of binarized activations and its im2col windows all live in that one
+// container, so the kernels stream x-row against w-row with zero
+// indirection:
 //
 //   out[i][j] = popcount(X.row(i) XNOR W.row(j))        (paper Eq. 1)
 //
@@ -21,70 +20,21 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
-#include "bnn/tensor.hpp"
 #include "common/bitvec.hpp"
 #include "common/thread_pool.hpp"
 
 namespace eb::bnn {
 
-class PackedMatrix {
- public:
-  PackedMatrix() = default;
-
-  // rows x cols bits, all cleared. Each row is padded to whole 64-bit
-  // words; padding bits are kept zero (the kernels rely on it).
-  PackedMatrix(std::size_t rows, std::size_t cols);
-
-  [[nodiscard]] static PackedMatrix from_bit_matrix(const BitMatrix& m);
-  [[nodiscard]] static PackedMatrix from_rows(const std::vector<BitVec>& rows);
-
-  [[nodiscard]] std::size_t rows() const { return rows_; }
-  [[nodiscard]] std::size_t cols() const { return cols_; }
-  [[nodiscard]] std::size_t words_per_row() const { return words_per_row_; }
-
-  // Whole-row writes (tail padding is re-masked).
-  void set_row(std::size_t r, const BitVec& bits);
-  // Sign-binarized row from a tensor: bit i = 1 iff t[i] >= 0 (same
-  // convention as bnn::binarize, but packed word-wise without a BitVec
-  // round trip).
-  void set_row_signs(std::size_t r, const double* values, std::size_t n);
-  // Thresholded variant: bit i = 1 iff values[i] >= thresholds[i].
-  void set_row_thresholded(std::size_t r, const double* values,
-                           const double* thresholds, std::size_t n);
-
-  void set(std::size_t r, std::size_t c, bool v);
-  [[nodiscard]] bool get(std::size_t r, std::size_t c) const;
-
-  [[nodiscard]] const std::uint64_t* row_words(std::size_t r) const;
-  [[nodiscard]] std::uint64_t* row_words(std::size_t r);
-
-  // Expand one row back into a BitVec (tests / interop with the mappings).
-  [[nodiscard]] BitVec row_bitvec(std::size_t r) const;
-
-  // Bits of padding per row (popcount of XNOR over a full row counts
-  // these as matches; the kernels subtract them).
-  [[nodiscard]] std::size_t pad_bits() const {
-    return words_per_row_ * 64 - cols_;
-  }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::size_t words_per_row_ = 0;
-  std::vector<std::uint64_t> words_;
-};
-
 // Batched XNOR+Popcount GEMM: out[i * W.rows() + j] =
 // popcount(X.row(i) XNOR W.row(j)). X and W must agree on cols(). When a
 // pool is given the X rows are sharded across it.
-void xnor_popcount_gemm(const PackedMatrix& x, const PackedMatrix& w,
+void xnor_popcount_gemm(const BitMatrix& x, const BitMatrix& w,
                         std::uint32_t* out, ThreadPool* pool = nullptr);
 
 // Signed BNN variant (paper Eq. 1): out[i * W.rows() + j] =
 // 2 * popcount(XNOR) - cols.
-void xnor_signed_gemm(const PackedMatrix& x, const PackedMatrix& w,
+void xnor_signed_gemm(const BitMatrix& x, const BitMatrix& w,
                       std::int32_t* out, ThreadPool* pool = nullptr);
 
 // Signed GEMM without a materialized output matrix: `visit(i, vals, n)` is
@@ -93,15 +43,10 @@ void xnor_signed_gemm(const PackedMatrix& x, const PackedMatrix& w,
 // threads, each row exactly once). Lets callers scatter/convert each row
 // while it is still cache-hot instead of re-reading a large intermediate.
 void xnor_signed_gemm_visit(
-    const PackedMatrix& x, const PackedMatrix& w,
+    const BitMatrix& x, const BitMatrix& w,
     const std::function<void(std::size_t, const std::int32_t*, std::size_t)>&
         visit,
     ThreadPool* pool = nullptr);
-
-// Single-vector row sweep against packed weights:
-// out[j] = popcount(x XNOR W.row(j)). `x` must have W.cols() bits.
-[[nodiscard]] std::vector<std::size_t> xnor_popcount_rows(
-    const PackedMatrix& w, const BitVec& x);
 
 // popcount(a XNOR b) over `bits` valid bits of two word arrays whose
 // padding (if any) is zeroed. Exposed for the property tests.

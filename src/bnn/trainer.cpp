@@ -335,9 +335,7 @@ Network MlpTrainer::export_network(const std::string& name) const {
     if (lp.binary) {
       BitMatrix wm(lp.out, lp.in);
       for (std::size_t o = 0; o < lp.out; ++o) {
-        for (std::size_t i = 0; i < lp.in; ++i) {
-          wm.set(o, i, lp.w[o * lp.in + i] >= 0.0);
-        }
+        wm.set_row_signs(o, lp.w.data() + o * lp.in, lp.in);
       }
       net.add(BinaryDenseLayer("fc" + idx, std::move(wm)));
     } else {

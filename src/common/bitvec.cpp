@@ -7,6 +7,31 @@
 
 namespace eb {
 
+namespace {
+
+// Clears the padding bits of a ceil(bits / 64)-word row past bit `bits`.
+void mask_padding(std::uint64_t* words, std::size_t bits) {
+  const std::size_t rem = bits % 64;
+  if (rem != 0) {
+    words[bits / 64] &= (1ULL << rem) - 1ULL;
+  }
+}
+
+// popcount(a XNOR b) over `bits` bits of two zero-padded word rows. The
+// whole words are counted, so the padding's ~(0 ^ 0) = 1 bits are
+// subtracted afterwards.
+std::size_t xnor_popcount_row(const std::uint64_t* a, const std::uint64_t* b,
+                              std::size_t bits) {
+  const std::size_t words = (bits + 63) / 64;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < words; ++i) {
+    n += static_cast<std::size_t>(std::popcount(~(a[i] ^ b[i])));
+  }
+  return n - (words * 64 - bits);
+}
+
+}  // namespace
+
 BitVec::BitVec(std::size_t n) : size_(n), words_(word_count(n), 0) {}
 
 BitVec BitVec::from_bits(const std::vector<int>& bits) {
@@ -99,17 +124,7 @@ BitVec BitVec::and_with(const BitVec& other) const {
 
 std::size_t BitVec::xnor_popcount(const BitVec& other) const {
   EB_REQUIRE(size_ == other.size_, "xnor_popcount requires equal lengths");
-  if (size_ == 0) {
-    return 0;
-  }
-  std::size_t n = 0;
-  // All full words plus the zero-padded tail word; padding contributes
-  // ~(0^0) = 1 bits which we subtract afterwards.
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    n += static_cast<std::size_t>(std::popcount(~(words_[i] ^ other.words_[i])));
-  }
-  const std::size_t padding = words_.size() * 64 - size_;
-  return n - padding;
+  return xnor_popcount_row(words_.data(), other.words_.data(), size_);
 }
 
 long long BitVec::signed_dot(const BitVec& other) const {
@@ -164,50 +179,76 @@ bool BitVec::operator==(const BitVec& other) const {
   return size_ == other.size_ && words_ == other.words_;
 }
 
-void BitVec::mask_tail() {
-  const std::size_t rem = size_ % 64;
-  if (rem != 0 && !words_.empty()) {
-    words_.back() &= (1ULL << rem) - 1ULL;
-  }
-}
+void BitVec::mask_tail() { mask_padding(words_.data(), size_); }
 
 // ---------------------------------------------------------------------------
 
 BitMatrix::BitMatrix(std::size_t rows, std::size_t cols)
-    : cols_(cols), rows_(rows, BitVec(cols)) {}
+    : rows_(rows),
+      cols_(cols),
+      words_per_row_(BitVec::word_count(cols)),
+      words_(rows * words_per_row_, 0) {}
 
 BitMatrix BitMatrix::random(std::size_t rows, std::size_t cols, Rng& rng) {
   BitMatrix m(rows, cols);
+  for (auto& w : m.words_) {
+    w = rng.bits64();
+  }
   for (std::size_t r = 0; r < rows; ++r) {
-    m.rows_[r] = BitVec::random(cols, rng);
+    mask_padding(m.row_words(r), cols);
   }
   return m;
 }
 
-const BitVec& BitMatrix::row(std::size_t r) const {
-  EB_REQUIRE(r < rows_.size(), "row index out of range");
-  return rows_[r];
+BitVec BitMatrix::row(std::size_t r) const {
+  BitVec out(cols_);
+  std::copy_n(row_words(r), words_per_row_, out.words_.begin());
+  return out;
 }
 
-BitVec& BitMatrix::row(std::size_t r) {
-  EB_REQUIRE(r < rows_.size(), "row index out of range");
-  return rows_[r];
+void BitMatrix::set_row(std::size_t r, const BitVec& bits) {
+  EB_REQUIRE(bits.size() == cols_, "row length mismatch");
+  std::uint64_t* row = row_words(r);
+  std::copy(bits.words().begin(), bits.words().end(), row);
+  // BitVec keeps its padding zeroed, but the GEMM kernels' pad-bit
+  // subtraction silently corrupts if that ever stops holding -- re-mask.
+  mask_padding(row, cols_);
+}
+
+void BitMatrix::set_row_signs(std::size_t r, const double* values,
+                              std::size_t n) {
+  EB_REQUIRE(n == cols_, "row length mismatch");
+  pack_words(row_words(r), n,
+             [values](std::size_t i) { return values[i] >= 0.0; });
+}
+
+const std::uint64_t* BitMatrix::row_words(std::size_t r) const {
+  EB_REQUIRE(r < rows_, "row index out of range");
+  return words_.data() + r * words_per_row_;
+}
+
+std::uint64_t* BitMatrix::row_words(std::size_t r) {
+  EB_REQUIRE(r < rows_, "row index out of range");
+  return words_.data() + r * words_per_row_;
 }
 
 void BitMatrix::set(std::size_t r, std::size_t c, bool v) {
-  EB_REQUIRE(r < rows_.size(), "row index out of range");
-  rows_[r].set(c, v);
+  EB_REQUIRE(c < cols_, "bit index out of range");
+  const std::uint64_t mask = 1ULL << (c % 64);
+  std::uint64_t& word = row_words(r)[c / 64];
+  word = v ? (word | mask) : (word & ~mask);
 }
 
 bool BitMatrix::get(std::size_t r, std::size_t c) const {
-  EB_REQUIRE(r < rows_.size(), "row index out of range");
-  return rows_[r].get(c);
+  EB_REQUIRE(c < cols_, "bit index out of range");
+  return (row_words(r)[c / 64] >> (c % 64)) & 1ULL;
 }
 
 std::vector<std::size_t> BitMatrix::xnor_popcount_all(const BitVec& x) const {
-  std::vector<std::size_t> out(rows_.size());
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    out[r] = rows_[r].xnor_popcount(x);
+  EB_REQUIRE(x.size() == cols_, "xnor_popcount requires equal lengths");
+  std::vector<std::size_t> out(rows_);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    out[r] = xnor_popcount_row(row_words(r), x.words().data(), cols_);
   }
   return out;
 }

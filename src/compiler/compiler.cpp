@@ -165,10 +165,7 @@ CompiledMlp MlpCompiler::compile(const bnn::Network& net,
         const std::size_t bits = std::min(chunk_bits, m - bit_begin);
         BitMatrix tile(n_tile, bits);
         for (std::size_t r = 0; r < n_tile; ++r) {
-          const BitVec& row = w.row(col_begin + r);
-          for (std::size_t j = 0; j < bits; ++j) {
-            tile.set(r, j, row.get(bit_begin + j));
-          }
+          tile.set_row(r, w.row(col_begin + r).slice(bit_begin, bits));
         }
         arch::VcoreImage img;
         img.ecore = ecore;

@@ -29,9 +29,8 @@ CustBinaryMap::CustBinaryMap(const BitMatrix& weights, CustBinaryConfig cfg)
       const Range group = part_.row_groups[g];
       const Range tile = part_.width_tiles[t];
       for (std::size_t r = 0; r < group.length; ++r) {
-        const BitVec& w = weights.row(group.begin + r);
         for (std::size_t p = 0; p < tile.length; ++p) {
-          xb->program_pair(r, p, w.get(tile.begin + p));
+          xb->program_pair(r, p, weights.get(group.begin + r, tile.begin + p));
         }
       }
       crossbars_.push_back(std::move(xb));

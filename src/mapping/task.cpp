@@ -8,15 +8,14 @@ namespace eb::map {
 std::vector<std::vector<std::size_t>> XnorPopcountTask::reference() const {
   // One fused batched GEMM over all windows (bit-identical to the
   // per-input xnor_popcount_all loop, but word-parallel across the batch).
-  for (const auto& x : inputs) {
-    EB_REQUIRE(x.size() == m(), "input length must match weight length");
+  BitMatrix x(inputs.size(), m());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EB_REQUIRE(inputs[i].size() == m(),
+               "input length must match weight length");
+    x.set_row(i, inputs[i]);
   }
-  const auto w = bnn::PackedMatrix::from_bit_matrix(weights);
-  const auto x = bnn::PackedMatrix::from_rows(inputs);
   std::vector<std::uint32_t> acc(inputs.size() * n());
-  if (!inputs.empty()) {
-    bnn::xnor_popcount_gemm(x, w, acc.data());
-  }
+  bnn::xnor_popcount_gemm(x, weights, acc.data());
   std::vector<std::vector<std::size_t>> out(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     out[i].assign(acc.begin() + static_cast<std::ptrdiff_t>(i * n()),

@@ -22,18 +22,6 @@ double Transmitter::channel_power_mw() const {
   return per_channel * db_to_linear(-chain_loss_db);
 }
 
-WdmFrame Transmitter::encode(const std::vector<BitVec>& inputs) const {
-  EB_REQUIRE(!inputs.empty(), "encode needs at least one input vector");
-  EB_REQUIRE(inputs.size() <= k_,
-             "more input vectors than WDM capacity");
-  WdmFrame frame(m_);
-  for (const auto& v : inputs) {
-    EB_REQUIRE(v.size() == m_, "input vector must span all rows");
-    frame.add_channel(v);
-  }
-  return frame;
-}
-
 double Transmitter::laser_term_mw() const { return params_.laser_power_mw; }
 
 double Transmitter::modulator_term_mw() const {

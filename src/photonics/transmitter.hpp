@@ -21,10 +21,8 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "common/rng.hpp"
-#include "photonics/wdm.hpp"
 
 namespace eb::phot {
 
@@ -50,11 +48,6 @@ class Transmitter {
   // Optical power per active channel-row launched into the crossbar, given
   // the laser and the loss chain (mW).
   [[nodiscard]] double channel_power_mw() const;
-
-  // Encodes up to K input vectors into a WdmFrame (amplitude keying: bit 1
-  // = channel power, bit 0 = extinguished). Vectors must equal `rows` in
-  // length.
-  [[nodiscard]] WdmFrame encode(const std::vector<BitVec>& inputs) const;
 
   // Paper Eq. 3 evaluated for this transmitter's K and M.
   [[nodiscard]] double total_power_mw() const;

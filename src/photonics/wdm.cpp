@@ -28,20 +28,4 @@ double WavelengthGrid::wavelength_nm(std::size_t ch) const {
   return kSpeedOfLightNmThz / frequency_thz(ch);
 }
 
-WdmFrame::WdmFrame(std::size_t row_span) : row_span_(row_span) {
-  EB_REQUIRE(row_span >= 1, "row span must be positive");
-}
-
-std::size_t WdmFrame::add_channel(BitVec bits) {
-  EB_REQUIRE(bits.size() == row_span_,
-             "channel drive must match the frame's row span");
-  inputs_.push_back(std::move(bits));
-  return inputs_.size() - 1;
-}
-
-const BitVec& WdmFrame::channel(std::size_t k) const {
-  EB_REQUIRE(k < inputs_.size(), "channel out of range");
-  return inputs_[k];
-}
-
 }  // namespace eb::phot

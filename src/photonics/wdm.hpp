@@ -2,14 +2,12 @@
 //
 // The paper's EinsteinBarrier batches up to K = 16 input vectors into one
 // crossbar pass by carrying each vector on its own wavelength channel
-// (section IV-A2). WavelengthGrid describes the channel plan; WdmFrame is
-// the per-channel binary drive pattern handed to an OpticalCrossbar.
+// (section IV-A2). WavelengthGrid describes the channel plan; the
+// per-channel binary drives of one pass go straight to
+// xbar::OpticalCrossbar::wdm_powers.
 #pragma once
 
 #include <cstddef>
-#include <vector>
-
-#include "common/bitvec.hpp"
 
 namespace eb::phot {
 
@@ -33,25 +31,6 @@ class WavelengthGrid {
  private:
   std::size_t channels_;
   double spacing_ghz_;
-};
-
-// One WDM time step: a binary row-drive per active wavelength channel.
-// All vectors must have equal length (the crossbar row span).
-class WdmFrame {
- public:
-  explicit WdmFrame(std::size_t row_span);
-
-  // Adds a channel carrying `bits`; returns its channel index.
-  std::size_t add_channel(BitVec bits);
-
-  [[nodiscard]] std::size_t channels() const { return inputs_.size(); }
-  [[nodiscard]] std::size_t row_span() const { return row_span_; }
-  [[nodiscard]] const BitVec& channel(std::size_t k) const;
-  [[nodiscard]] const std::vector<BitVec>& all() const { return inputs_; }
-
- private:
-  std::size_t row_span_;
-  std::vector<BitVec> inputs_;
 };
 
 }  // namespace eb::phot

@@ -12,7 +12,8 @@
 ///       2. submit the canary inputs through *normal gateway admission*
 ///          (same queues, same deadline classes as tenant traffic)
 ///       3. score the answers against the packed gold popcounts
-///          (bnn::xnor_popcount_rows ground truth, element-exact match)
+///          (map::XnorPopcountTask::reference ground truth, element-exact
+///          match)
 ///       4. below the accuracy floor: *rewrite* -- restore pristine
 ///          conductances (re-program every device), restart the drift
 ///          epoch at t = 0 and advance the fork generation
@@ -54,7 +55,8 @@
 namespace eb::serve {
 
 /// One canary probe: a fixed input plus its packed gold reference
-/// (xnor_popcount_rows of the model's weights against the input bits).
+/// (popcount(input bits XNOR weight row) per output, e.g. from
+/// map::XnorPopcountTask::reference()).
 struct Canary {
   bnn::Tensor input;              ///< Request tensor (executor dims().m wide).
   std::vector<std::size_t> gold;  ///< Expected popcount per output element.

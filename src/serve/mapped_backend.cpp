@@ -27,11 +27,7 @@ struct MappedHandlerState {
 BitVec tensor_to_bits(const bnn::Tensor& t, std::size_t m) {
   EB_REQUIRE(t.size() == m,
              "mapped backend request size must equal executor dims().m");
-  BitVec x(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    x.set(k, t[k] > 0.5);
-  }
-  return x;
+  return BitVec::pack(m, [&t](std::size_t k) { return t[k] > 0.5; });
 }
 
 BatchHandler make_mapped_handler(

@@ -120,7 +120,10 @@ class WeightedDrrQueue {
           q.items.pop_front();
           q.deficit -= 1.0;
           --total_;
-          cursor_ = h;  // keep draining this lane while credit lasts
+          // Keep draining this lane while it holds another full credit;
+          // once it does not, the next scan starts past it, so no lane is
+          // served twice across a grant round.
+          cursor_ = q.deficit >= 1.0 ? h : (h + 1) % n;
           return std::make_pair(h, std::move(item));
         }
       }

@@ -55,15 +55,6 @@ TEST(Binarize, SignConventionZeroIsPlusOne) {
   EXPECT_EQ(b.to_string(), "011");
 }
 
-TEST(Binarize, ThresholdedBinarization) {
-  Tensor t({3});
-  t[0] = 1.0;
-  t[1] = 2.0;
-  t[2] = 3.0;
-  const BitVec b = binarize_thresholded(t, {1.5, 1.5, 3.5});
-  EXPECT_EQ(b.to_string(), "010");
-}
-
 TEST(Binarize, RoundTripToSignedTensor) {
   Rng rng(1);
   const BitVec b = BitVec::random(37, rng);
@@ -115,17 +106,6 @@ TEST(BinaryDenseLayer, MatchesNaiveSignedDot) {
   for (std::size_t o = 0; o < 17; ++o) {
     const auto wv = layer.weights().row(o).to_signed();
     EXPECT_DOUBLE_EQ(y[o], static_cast<double>(naive_signed_dot(wv, xv)));
-  }
-}
-
-TEST(BinaryDenseLayer, ForwardBitsAgreesWithForward) {
-  Rng rng(4);
-  const auto layer = BinaryDenseLayer::random("fc", 65, 9, rng);
-  const BitVec xb = BitVec::random(65, rng);
-  const auto ints = layer.forward_bits(xb);
-  const Tensor y = layer.forward(to_signed_tensor(xb, {65}));
-  for (std::size_t o = 0; o < 9; ++o) {
-    EXPECT_DOUBLE_EQ(y[o], static_cast<double>(ints[o]));
   }
 }
 
@@ -193,7 +173,7 @@ TEST(BinaryConv2dLayer, MatchesNaiveSignedConvolution) {
   }
   const Tensor y = layer.forward(x);
   // Naive direct convolution with pad -> -1 (matching the binarized-zero
-  // convention of im2col_window).
+  // convention of pack_im2col_rows).
   for (std::size_t oc = 0; oc < 4; ++oc) {
     for (std::size_t i = 0; i < 6; ++i) {
       for (std::size_t j = 0; j < 6; ++j) {
@@ -209,7 +189,7 @@ TEST(BinaryConv2dLayer, MatchesNaiveSignedConvolution) {
                       ? -1.0
                       : x.at({ic, static_cast<std::size_t>(r),
                               static_cast<std::size_t>(c)});
-              const double wv = layer.kernels()[oc].get(idx) ? 1.0 : -1.0;
+              const double wv = layer.kernels().get(oc, idx) ? 1.0 : -1.0;
               acc += xv * wv;
             }
           }

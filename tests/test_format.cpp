@@ -310,21 +310,23 @@ TEST(EbmDecode, EveryByteTamperThrows) {
   }
 }
 
+// Rewrites the CRC trailer of a tampered encoding, so the check that the
+// tampering targets is what fires rather than the CRC.
+std::vector<std::uint8_t> reseal(std::vector<std::uint8_t> b) {
+  const std::uint32_t c = crc32(b.data(), b.size() - 4);
+  b[b.size() - 4] = static_cast<std::uint8_t>(c & 0xFF);
+  b[b.size() - 3] = static_cast<std::uint8_t>((c >> 8) & 0xFF);
+  b[b.size() - 2] = static_cast<std::uint8_t>((c >> 16) & 0xFF);
+  b[b.size() - 1] = static_cast<std::uint8_t>((c >> 24) & 0xFF);
+  return b;
+}
+
 // Re-seal a tampered header with a recomputed CRC so the magic / version
 // checks themselves are what fires.
 TEST(EbmDecode, BadMagicAndVersionRejectedPastCrc) {
   RngStream rng(2);
   const Network net = build_mlp("tiny", {8, 8, 4}, rng);
   const std::vector<std::uint8_t> good = encode_network(net);
-
-  const auto reseal = [](std::vector<std::uint8_t> b) {
-    const std::uint32_t c = crc32(b.data(), b.size() - 4);
-    b[b.size() - 4] = static_cast<std::uint8_t>(c & 0xFF);
-    b[b.size() - 3] = static_cast<std::uint8_t>((c >> 8) & 0xFF);
-    b[b.size() - 2] = static_cast<std::uint8_t>((c >> 16) & 0xFF);
-    b[b.size() - 1] = static_cast<std::uint8_t>((c >> 24) & 0xFF);
-    return b;
-  };
 
   {
     std::vector<std::uint8_t> bad = good;
@@ -344,6 +346,43 @@ TEST(EbmDecode, BadMagicAndVersionRejectedPastCrc) {
   // Sanity: resealing without tampering still decodes.
   const std::vector<std::uint8_t> ok = reseal(good);
   EXPECT_NO_THROW(static_cast<void>(decode_network(ok.data(), ok.size())));
+}
+
+// A binary row 70 bits wide ends in 58 padding bits, which decode must
+// find zero: a set one would not survive a re-encode. Each network's only
+// section is one binary layer, so its last row's last word sits just
+// before the CRC trailer; bit 63 of that word is padding.
+TEST(EbmDecode, NonzeroPaddingBitsRejectedPastCrc) {
+  RngStream rng(3);
+  Network dense("pad-dense", "synthetic");
+  dense.add(BinaryDenseLayer::random("fc", 70, 3, rng));
+  Conv2dGeom g;
+  g.in_ch = 70;  // 1x1 kernels: 70 bits per kernel row
+  g.out_ch = 2;
+  g.kernel = 1;
+  g.stride = 1;
+  g.pad = 0;
+  g.in_h = 2;
+  g.in_w = 2;
+  Network conv("pad-conv", "synthetic");
+  conv.add(BinaryConv2dLayer::random("conv", g, rng));
+  for (const Network* net : {&dense, &conv}) {
+    const std::vector<std::uint8_t> good = encode_network(*net);
+    const std::vector<std::uint8_t> ok = reseal(good);
+    EXPECT_NO_THROW(static_cast<void>(decode_network(ok.data(), ok.size())))
+        << net->name();
+    std::vector<std::uint8_t> bad = good;
+    bad[bad.size() - 5] |= 0x80;
+    bad = reseal(std::move(bad));
+    try {
+      static_cast<void>(decode_network(bad.data(), bad.size()));
+      ADD_FAILURE() << net->name() << ": a set padding bit decoded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("ebm: nonzero padding bits"),
+                std::string::npos)
+          << net->name() << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

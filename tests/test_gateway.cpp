@@ -136,6 +136,28 @@ TEST(WeightedDrrQueue, DrainsBacklogInWeightProportion) {
   EXPECT_EQ(drr.total_size(), 800u - 200u);
 }
 
+// Classic DRR moves past a lane once its credit is below one pop, so no
+// lane is served twice across a grant round: two equal lanes alternate
+// strictly, and weights 3:1 repeat A A A B.
+TEST(WeightedDrrQueue, CursorMovesPastALaneWhoseCreditIsSpent) {
+  const auto pops = [](double wa, double wb, int count) {
+    WeightedDrrQueue<int> drr;
+    const std::size_t a = drr.add_queue(wa);
+    const std::size_t b = drr.add_queue(wb);
+    for (int i = 0; i < count; ++i) {
+      drr.push(a, i);
+      drr.push(b, i);
+    }
+    std::string order;
+    for (int i = 0; i < count; ++i) {
+      order += drr.pop_next()->first == a ? 'A' : 'B';
+    }
+    return order;
+  };
+  EXPECT_EQ(pops(1.0, 1.0, 8), "ABABABAB");
+  EXPECT_EQ(pops(3.0, 1.0, 12), "AAABAAABAAAB");
+}
+
 // Lanes hold move-only items (serve::Server's requests carry a
 // std::promise): each lane pops in FIFO order, and two equal lanes split
 // every aligned pair of pops one each.

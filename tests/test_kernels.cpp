@@ -51,10 +51,10 @@ class EnvGuard {
   std::string saved_;
 };
 
-PackedMatrix random_packed(std::size_t rows, std::size_t cols,
-                           std::uint64_t seed) {
+BitMatrix random_packed(std::size_t rows, std::size_t cols,
+                        std::uint64_t seed) {
   RngStream rng(seed);
-  PackedMatrix m(rows, cols);
+  BitMatrix m(rows, cols);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       m.set(r, c, (rng() & 1ULL) != 0);
@@ -141,9 +141,9 @@ const Shape kAdversarialShapes[] = {
 TEST(KernelIdentity, EverySupportedSweepMatchesPortableOnAdversarialShapes) {
   const Kernel& portable = kernel_by_name("portable");
   for (const Shape& s : kAdversarialShapes) {
-    const PackedMatrix w =
+    const BitMatrix w =
         random_packed(s.rows, s.cols, 0xABC0 + s.rows * 131 + s.cols);
-    const PackedMatrix x = random_packed(s.batch, s.cols, 0xDEF0 + s.cols);
+    const BitMatrix x = random_packed(s.batch, s.cols, 0xDEF0 + s.cols);
     const std::size_t nw = w.words_per_row();
     std::vector<std::uint32_t> want(s.rows);
     std::vector<std::uint32_t> got(s.rows);
@@ -187,8 +187,8 @@ TEST(KernelIdentity, EverySupportedPopMatchesPortable) {
 // at thread counts 1 and 4.
 TEST(KernelIdentity, ForcedGemmMatchesTunedForEveryKernelAndThreadCount) {
   const EnvGuard guard("EB_KERNEL");
-  const PackedMatrix w = random_packed(37, 517, 0x711);
-  const PackedMatrix x = random_packed(64, 517, 0x712);
+  const BitMatrix w = random_packed(37, 517, 0x711);
+  const BitMatrix x = random_packed(64, 517, 0x712);
   ThreadPool pool4(4);
 
   unsetenv("EB_KERNEL");

@@ -1,10 +1,11 @@
-// Tests for the batched bit-parallel inference engine: PackedMatrix and
-// its fused XNOR+Popcount GEMM kernels, the thread pool they shard over,
+// Tests for the batched bit-parallel inference engine: BitMatrix and the
+// fused XNOR+Popcount GEMM kernels over it, the thread pool they shard over,
 // and the equivalence guarantees of the batched path (Layer::forward_batch,
 // Network::forward_batch, BatchRunner) against the per-sample scalar
 // reference -- bit-identical outputs, not approximately equal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -102,26 +103,48 @@ TEST(ThreadPool, ReusableAcrossManyInvocations) {
   }
 }
 
-// ---------------------------------------------------------- PackedMatrix --
+// ------------------------------------------------------------- BitMatrix --
 
-TEST(PackedMatrix, RoundTripsBitMatrix) {
+TEST(BitMatrix, RowsRoundTripThroughTheSlab) {
   Rng rng(1);
   const BitMatrix m = BitMatrix::random(9, 130, rng);
-  const PackedMatrix p = PackedMatrix::from_bit_matrix(m);
-  EXPECT_EQ(p.rows(), 9u);
-  EXPECT_EQ(p.cols(), 130u);
-  EXPECT_EQ(p.words_per_row(), 3u);
-  EXPECT_EQ(p.pad_bits(), 3u * 64u - 130u);
+  EXPECT_EQ(m.rows(), 9u);
+  EXPECT_EQ(m.cols(), 130u);
+  EXPECT_EQ(m.words_per_row(), 3u);
+  EXPECT_EQ(m.pad_bits(), 3u * 64u - 130u);
+  BitMatrix copy(9, 130);
   for (std::size_t r = 0; r < 9; ++r) {
-    EXPECT_EQ(p.row_bitvec(r), m.row(r)) << "row " << r;
+    const BitVec row = m.row(r);
+    ASSERT_EQ(row.size(), 130u);
+    EXPECT_TRUE(std::equal(row.words().begin(), row.words().end(),
+                           m.row_words(r)))
+        << "row " << r;
     for (std::size_t c = 0; c < 130; ++c) {
-      EXPECT_EQ(p.get(r, c), m.get(r, c));
+      EXPECT_EQ(row.get(c), m.get(r, c));
     }
+    copy.set_row(r, row);
+    EXPECT_EQ(copy.row(r), row) << "row " << r;
   }
 }
 
-TEST(PackedMatrix, SetAndGetSingleBits) {
-  PackedMatrix p(3, 70);
+// BitMatrix::random draws one bits64() per word in row-major order and
+// masks each row's tail: exactly the draws of one BitVec::random per row,
+// so every seeded model keeps its weights.
+TEST(BitMatrix, RandomDrawsOneWordPerRowWordInRowMajorOrder) {
+  for (const std::size_t cols : {1u, 63u, 64u, 65u, 130u}) {
+    Rng a(0xB17);
+    Rng b(0xB17);
+    const BitMatrix m = BitMatrix::random(5, cols, a);
+    for (std::size_t r = 0; r < 5; ++r) {
+      EXPECT_EQ(m.row(r), BitVec::random(cols, b))
+          << "cols=" << cols << " row " << r;
+    }
+    EXPECT_EQ(a.bits64(), b.bits64()) << "cols=" << cols;
+  }
+}
+
+TEST(BitMatrix, SetAndGetSingleBits) {
+  BitMatrix p(3, 70);
   p.set(2, 69, true);
   p.set(0, 0, true);
   EXPECT_TRUE(p.get(2, 69));
@@ -131,9 +154,10 @@ TEST(PackedMatrix, SetAndGetSingleBits) {
   EXPECT_FALSE(p.get(2, 69));
   EXPECT_THROW(p.set(3, 0, true), Error);
   EXPECT_THROW(static_cast<void>(p.get(0, 70)), Error);
+  EXPECT_THROW(static_cast<void>(p.row(3)), Error);
 }
 
-TEST(PackedMatrix, SetRowSignsMatchesBinarize) {
+TEST(BitMatrix, SetRowSignsMatchesBinarize) {
   Rng rng(2);
   for (const std::size_t n : {1u, 63u, 64u, 65u, 200u}) {
     Tensor t({n});
@@ -141,29 +165,18 @@ TEST(PackedMatrix, SetRowSignsMatchesBinarize) {
       t[i] = rng.gaussian();
     }
     t[0] = -0.0;  // binarize convention: -0.0 >= 0 is true -> bit set
-    PackedMatrix p(1, n);
+    BitMatrix p(1, n);
     p.set_row_signs(0, t.data(), n);
-    EXPECT_EQ(p.row_bitvec(0), binarize(t)) << "n=" << n;
+    EXPECT_EQ(p.row(0), binarize(t)) << "n=" << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(p.get(0, i), t[i] >= 0.0) << "n=" << n << " bit " << i;
+    }
   }
 }
 
-TEST(PackedMatrix, SetRowThresholdedMatchesReference) {
-  Rng rng(3);
-  const std::size_t n = 97;
-  Tensor t({n});
-  std::vector<double> thr(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    t[i] = rng.gaussian();
-    thr[i] = rng.gaussian(0.0, 0.5);
-  }
-  PackedMatrix p(1, n);
-  p.set_row_thresholded(0, t.data(), thr.data(), n);
-  EXPECT_EQ(p.row_bitvec(0), binarize_thresholded(t, thr));
-}
-
-TEST(PackedMatrix, PaddingStaysZeroAfterRowWrites) {
+TEST(BitMatrix, PaddingStaysZeroAfterRowWrites) {
   Rng rng(4);
-  PackedMatrix p(2, 70);
+  BitMatrix p(2, 70);
   p.set_row(0, BitVec::random(70, rng).complemented().complemented());
   Tensor ones = Tensor::full({70}, 1.0);
   p.set_row_signs(1, ones.data(), 70);
@@ -174,6 +187,14 @@ TEST(PackedMatrix, PaddingStaysZeroAfterRowWrites) {
 }
 
 // ----------------------------------------------------------- GEMM kernels --
+
+BitMatrix rows_of(const std::vector<BitVec>& xs) {
+  BitMatrix m(xs.size(), xs.front().size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    m.set_row(i, xs[i]);
+  }
+  return m;
+}
 
 TEST(PackedGemm, MatchesBitVecKernelsAcrossShapes) {
   Rng rng(5);
@@ -190,12 +211,11 @@ TEST(PackedGemm, MatchesBitVecKernelsAcrossShapes) {
       for (std::size_t i = 0; i < xn; ++i) {
         xs.push_back(BitVec::random(cols, rng));
       }
-      const PackedMatrix pw = PackedMatrix::from_bit_matrix(w);
-      const PackedMatrix px = PackedMatrix::from_rows(xs);
+      const BitMatrix px = rows_of(xs);
       std::vector<std::uint32_t> pc(xn * wn);
-      xnor_popcount_gemm(px, pw, pc.data());
+      xnor_popcount_gemm(px, w, pc.data());
       std::vector<std::int32_t> sd(xn * wn);
-      xnor_signed_gemm(px, pw, sd.data());
+      xnor_signed_gemm(px, w, sd.data());
       for (std::size_t i = 0; i < xn; ++i) {
         for (std::size_t j = 0; j < wn; ++j) {
           const std::size_t want = xs[i].xnor_popcount(w.row(j));
@@ -216,13 +236,12 @@ TEST(PackedGemm, ThreadedMatchesSerial) {
   for (std::size_t i = 0; i < 21; ++i) {
     xs.push_back(BitVec::random(300, rng));
   }
-  const PackedMatrix pw = PackedMatrix::from_bit_matrix(w);
-  const PackedMatrix px = PackedMatrix::from_rows(xs);
+  const BitMatrix px = rows_of(xs);
   std::vector<std::uint32_t> serial(21 * 33);
-  xnor_popcount_gemm(px, pw, serial.data());
+  xnor_popcount_gemm(px, w, serial.data());
   ThreadPool pool(4);
   std::vector<std::uint32_t> threaded(21 * 33);
-  xnor_popcount_gemm(px, pw, threaded.data(), &pool);
+  xnor_popcount_gemm(px, w, threaded.data(), &pool);
   EXPECT_EQ(serial, threaded);
 }
 
@@ -230,13 +249,15 @@ TEST(PackedGemm, RowSweepMatchesBitMatrixAll) {
   Rng rng(7);
   const BitMatrix w = BitMatrix::random(29, 777, rng);
   const BitVec x = BitVec::random(777, rng);
-  const PackedMatrix pw = PackedMatrix::from_bit_matrix(w);
-  EXPECT_EQ(xnor_popcount_rows(pw, x), w.xnor_popcount_all(x));
+  std::vector<std::uint32_t> got(29);
+  xnor_popcount_gemm(rows_of({x}), w, got.data());
+  const std::vector<std::size_t> want = w.xnor_popcount_all(x);
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
 }
 
 TEST(PackedGemm, WidthMismatchThrows) {
-  const PackedMatrix a(2, 64);
-  const PackedMatrix b(2, 65);
+  const BitMatrix a(2, 64);
+  const BitMatrix b(2, 65);
   std::vector<std::uint32_t> out(4);
   EXPECT_THROW(xnor_popcount_gemm(a, b, out.data()), Error);
 }

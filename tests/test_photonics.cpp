@@ -32,14 +32,6 @@ TEST(WavelengthGrid, ChannelsCenteredOnCBand) {
   EXPECT_LT(grid.wavelength_nm(0), 1600.0);
 }
 
-TEST(WdmFrame, EnforcesUniformRowSpan) {
-  WdmFrame frame(32);
-  Rng rng(1);
-  frame.add_channel(BitVec::random(32, rng));
-  EXPECT_THROW(frame.add_channel(BitVec::random(16, rng)), Error);
-  EXPECT_EQ(frame.channels(), 1u);
-}
-
 // ---------------------------------------------------------- transmitter --
 
 TEST(Transmitter, EquationThreeLiteralValues) {
@@ -83,15 +75,6 @@ TEST(Transmitter, ChannelPowerReflectsLossChain) {
                                            p.voa_loss_db) /
                                              10.0);
   EXPECT_NEAR(tx.channel_power_mw(), expected, 1e-12);
-}
-
-TEST(Transmitter, EncodeRejectsOverCapacity) {
-  Transmitter tx(TransmitterParams::defaults(), 2, 8);
-  Rng rng(2);
-  std::vector<BitVec> three(3, BitVec::random(8, rng));
-  EXPECT_THROW(static_cast<void>(tx.encode(three)), Error);
-  std::vector<BitVec> two(2, BitVec::random(8, rng));
-  EXPECT_EQ(tx.encode(two).channels(), 2u);
 }
 
 // ------------------------------------------------------------- receiver --

@@ -21,7 +21,7 @@ namespace {
 
 // --------------------------------------- bit-kernel randomized properties --
 //
-// The packed kernels (BitVec word loops and the PackedMatrix SIMD sweeps)
+// The packed kernels (BitVec word loops and the BitMatrix SIMD sweeps)
 // must agree with a naive bit-by-bit reference on *randomized* lengths,
 // with non-multiple-of-64 tails deliberately over-represented: every past
 // kernel bug class (unmasked padding, blocked-row remainders, vector
@@ -87,9 +87,10 @@ TEST(BitKernelProperties, PackedSweepMatchesNaiveOnRandomShapes) {
     const std::size_t wn = static_cast<std::size_t>(rng.uniform_int(1, 9));
     const BitMatrix w = BitMatrix::random(wn, cols, rng);
     const BitVec x = BitVec::random(cols, rng);
-    const auto got =
-        bnn::xnor_popcount_rows(bnn::PackedMatrix::from_bit_matrix(w), x);
-    ASSERT_EQ(got.size(), wn);
+    BitMatrix xm(1, cols);
+    xm.set_row(0, x);
+    std::vector<std::uint32_t> got(wn);
+    bnn::xnor_popcount_gemm(xm, w, got.data());
     for (std::size_t j = 0; j < wn; ++j) {
       std::size_t naive = 0;
       for (std::size_t i = 0; i < cols; ++i) {
