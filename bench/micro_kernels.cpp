@@ -360,7 +360,7 @@ void BM_OpticalWdmExecute(benchmark::State& state) {
   cfg.wdm_capacity = 16;
   const eb::map::TacitMapOptical mapped(task.weights, cfg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mapped.execute_wdm(task.inputs, kNoNoise, rng));
+    benchmark::DoNotOptimize(mapped.execute_batch(task.inputs, kNoNoise, rng));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(k));

@@ -30,47 +30,34 @@ VCore::VCore(const MachineConfig& cfg, std::uint64_t seed)
       rng_(seed) {}
 
 void VCore::program(const BitMatrix& weights) {
+  // TacitMap's [w ; ~w] columns: 2m rows by n columns.
+  EB_REQUIRE(2 * weights.cols() <= dims_.rows && weights.rows() <= dims_.cols,
+             "VCore weight tile must fit one crossbar");
   m_ = weights.cols();
   cols_used_ = weights.rows();
   wpc_.resize(cols_used_);
   for (std::size_t j = 0; j < cols_used_; ++j) {
     wpc_[j] = static_cast<long long>(weights.row(j).popcount());
   }
-  if (optical_) {
-    map::TacitOpticalConfig cfg;
-    cfg.dims = dims_;
-    cfg.wdm_capacity = wdm_capacity_;
-    cfg.seed = rng_.bits64();
-    optical_core_ = std::make_unique<map::TacitMapOptical>(weights, cfg);
-    EB_REQUIRE(optical_core_->partition().crossbars() == 1,
-               "VCore weight tile must fit one crossbar");
-  } else {
-    map::TacitElectricalConfig cfg;
-    cfg.dims = dims_;
-    cfg.seed = rng_.bits64();
-    electrical_ = std::make_unique<map::TacitMapElectrical>(weights, cfg);
-    EB_REQUIRE(electrical_->partition().crossbars() == 1,
-               "VCore weight tile must fit one crossbar");
-  }
+  map::MappedExecutorOptions opt;
+  opt.xbar_rows = dims_.rows;
+  opt.xbar_cols = dims_.cols;
+  opt.wdm_capacity = wdm_capacity_;
+  opt.seed = rng_.bits64();
+  core_ = map::make_mapped_executor(optical_ ? "optical" : "electrical",
+                                    weights, opt);
 }
 
 std::vector<long long> VCore::vmm(const BitVec& x) const {
   EB_REQUIRE(programmed(), "VCore has no weights loaded");
-  std::vector<std::size_t> pc;
-  if (optical_) {
-    pc = optical_core_->execute(x, kNoNoise, rng_);
-  } else {
-    pc = electrical_->execute(x, kNoNoise, rng_);
-  }
+  const auto pc = core_->execute(x, kNoNoise, rng_);
   return std::vector<long long>(pc.begin(), pc.end());
 }
 
 std::vector<std::vector<long long>> VCore::mmm(
     const std::vector<BitVec>& xs) const {
   EB_REQUIRE(programmed(), "VCore has no weights loaded");
-  EB_REQUIRE(optical_ && optical_core_ != nullptr,
-             "MMM requires an oPCM VCore (WDM)");
-  const auto pcs = optical_core_->execute_wdm(xs, kNoNoise, rng_);
+  const auto pcs = core_->execute_batch(xs, kNoNoise, rng_);
   std::vector<std::vector<long long>> out(pcs.size());
   for (std::size_t k = 0; k < pcs.size(); ++k) {
     out[k].assign(pcs[k].begin(), pcs[k].end());

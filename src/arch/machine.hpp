@@ -2,8 +2,9 @@
 // (paper Fig. 4), executing the ISA of arch/isa.hpp.
 //
 // The machine is a functional + timing simulator:
-//  * functional -- VCores hold real (ideal-device) crossbars programmed
-//    through the TacitMap executors, so compiled programs produce
+//  * functional -- each VCore holds one map::MappedExecutor, a TacitMap
+//    executor on one real (ideal-device) crossbar: Vmm runs its
+//    execute(), Mmm its execute_batch(), so compiled programs produce
 //    bit-exact XNOR+Popcounts; the ECore ALU implements the digital
 //    post-processing (Eq. 1 affine, partial-sum adds, bit-plane
 //    shift-adds, BN-as-threshold sign).
@@ -33,7 +34,7 @@
 #include "arch/isa.hpp"
 #include "arch/tech_params.hpp"
 #include "common/bitvec.hpp"
-#include "mapping/tacitmap.hpp"
+#include "mapping/executor.hpp"
 
 namespace eb::arch {
 
@@ -102,7 +103,8 @@ class VCore {
     return wpc_;
   }
 
-  // Functional XNOR+Popcount of one / many input vectors.
+  // Functional XNOR+Popcount of one / many input vectors (the Machine
+  // holds an Mmm to one WDM pass: k <= tech.wdm_capacity).
   [[nodiscard]] std::vector<long long> vmm(const BitVec& x) const;
   [[nodiscard]] std::vector<std::vector<long long>> mmm(
       const std::vector<BitVec>& xs) const;
@@ -120,8 +122,7 @@ class VCore {
   std::size_t m_ = 0;
   std::size_t cols_used_ = 0;
   std::vector<long long> wpc_;
-  std::unique_ptr<map::TacitMapElectrical> electrical_;
-  std::unique_ptr<map::TacitMapOptical> optical_core_;
+  std::unique_ptr<const map::MappedExecutor> core_;
   mutable Rng rng_;
 };
 

@@ -1,20 +1,10 @@
 #include "mapping/custbinarymap.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/error.hpp"
 
 namespace eb::map {
-
-BitVec cust_interleave(const BitVec& w) {
-  BitVec out(2 * w.size());
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    out.set(2 * i, w.get(i));
-    out.set(2 * i + 1, !w.get(i));
-  }
-  return out;
-}
 
 CustBinaryMap::CustBinaryMap(const BitMatrix& weights, CustBinaryConfig cfg)
     : cfg_(cfg),
@@ -38,46 +28,13 @@ CustBinaryMap::CustBinaryMap(const BitMatrix& weights, CustBinaryConfig cfg)
   }
 }
 
-std::size_t CustBinaryMap::digital_popcount(const BitVec& bits) const {
-  // Local 5-bit counters: each covers up to 2^bits - 1 positions; the
-  // tree adder then sums the partial counts. The chunking matters only for
-  // hardware cost (modeled elsewhere); the arithmetic is exact.
-  const std::size_t chunk = (std::size_t{1} << cfg_.counter_bits) - 1;
-  std::size_t total = 0;
-  for (std::size_t begin = 0; begin < bits.size(); begin += chunk) {
-    const std::size_t len = std::min(chunk, bits.size() - begin);
-    total += bits.slice(begin, len).popcount();
-  }
-  return total;
-}
-
-std::vector<std::size_t> CustBinaryMap::execute(const BitVec& x,
-                                                const dev::NoiseModel& noise,
-                                                RngStream& rng,
-                                                ThreadPool* pool) const {
-  return execute_with_base(x, noise, rng.split(), pool);
-}
-
 std::vector<std::vector<std::size_t>> CustBinaryMap::execute_batch(
-    const std::vector<BitVec>& inputs, const dev::NoiseModel& noise,
+    std::span<const BitVec> inputs, const dev::NoiseModel& noise,
     RngStream& rng, ThreadPool* pool) const {
-  // split_bases: per-input streams in input order == the family a serial
-  // execute() loop consumes, for any fan-out schedule.
-  const std::vector<RngStream> bases = split_bases(rng, inputs.size());
-  std::vector<std::vector<std::size_t>> out(inputs.size());
-  auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      // Nested parallelism: each input's crossbar shards land in the same
-      // pool its siblings fan out over (parallel_for is re-entrant).
-      out[i] = execute_with_base(inputs[i], noise, bases[i], pool);
-    }
-  };
-  if (pool != nullptr && inputs.size() > 1) {
-    pool->parallel_for(0, inputs.size(), 1, body);
-  } else {
-    body(0, inputs.size());
-  }
-  return out;
+  return fan_out_batch(inputs, rng, /*group=*/1, pool,
+                       [&](auto x, auto base, auto out) {
+                         out[0] = run_input(x[0], noise, base[0], pool);
+                       });
 }
 
 ExecutorDims CustBinaryMap::dims() const { return {part_.m, part_.n}; }
@@ -92,20 +49,12 @@ std::string CustBinaryMap::descriptor() const {
 
 void CustBinaryMap::set_drift(const dev::DriftModel& model, double t_s,
                               const RngStream& base) const {
-  for (std::size_t i = 0; i < crossbars_.size(); ++i) {
-    crossbars_[i]->set_drift(
-        model, t_s,
-        base.fork(static_cast<std::uint64_t>(StreamTag::Drift), i, 0));
-  }
+  set_drift_each(crossbars_, model, t_s, base);
 }
 
-void CustBinaryMap::clear_drift() const {
-  for (const auto& xb : crossbars_) {
-    xb->clear_drift();
-  }
-}
+void CustBinaryMap::clear_drift() const { clear_drift_each(crossbars_); }
 
-std::vector<std::size_t> CustBinaryMap::execute_with_base(
+std::vector<std::size_t> CustBinaryMap::run_input(
     const BitVec& x, const dev::NoiseModel& noise, const RngStream& base,
     ThreadPool* pool) const {
   EB_REQUIRE(x.size() == part_.m, "input length must match task m");
@@ -133,9 +82,10 @@ std::vector<std::size_t> CustBinaryMap::execute_with_base(
             *crossbars_[shard.segment * n_tiles + shard.tile];
         std::vector<std::size_t> partial(group.length, 0);
         for (std::size_t r = 0; r < group.length; ++r) {
-          const BitVec xnor_bits = xb.read_row_xnor(
-              r, x_tiles[shard.tile], cfg_.v_read, noise, shard_rng);
-          partial[r] = digital_popcount(xnor_bits);  // local counters
+          // The PCSAs' XNOR bits, summed by the local counters.
+          partial[r] = xb.read_row_xnor(r, x_tiles[shard.tile], cfg_.v_read,
+                                        noise, shard_rng)
+                           .popcount();
         }
         return partial;
       },

@@ -8,7 +8,9 @@
 /// precharge sense amplifiers emit XNOR(x, W_j) one bit per column pair.
 /// The popcount is then computed in digital logic: a 5-bit counter per
 /// column chunk plus a tree-based global popcount across connected
-/// crossbars.
+/// crossbars. Functionally that is a popcount of the row's XNOR bits; the
+/// counters' and the tree's cost lives in arch::CostModel
+/// (TechParams::e_counter_fj, e_adder_pj).
 ///
 /// Consequences the paper builds on:
 ///  * one row activation per weight vector => n sequential steps per input
@@ -19,6 +21,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,7 +43,6 @@ struct CustBinaryConfig {
   std::size_t pairs = 256;  ///< 2T2R column pairs per crossbar (512 devices).
   dev::EpcmParams device = dev::EpcmParams::ideal();  ///< Device model.
   double v_read = 0.2;  ///< Read voltage, volts.
-  std::size_t counter_bits = 5;  ///< Local popcount counter width (paper).
   std::uint64_t seed = 107;  ///< Device-variability seed.
 };
 
@@ -51,21 +53,14 @@ class CustBinaryMap final : public MappedExecutor {
   /// Programs the task's weights into the partition's crossbars.
   CustBinaryMap(const BitMatrix& weights, CustBinaryConfig cfg);
 
-  /// XNOR+Popcounts of one input vector against all n weight vectors via
-  /// sequential row activation + digital popcount. Exact for ideal devices.
-  /// Independent (row group x width tile) crossbars shard across `pool`
-  /// (nullptr -> serial, bit-identical to any pool size).
-  [[nodiscard]] std::vector<std::size_t> execute(
-      const BitVec& x, const dev::NoiseModel& noise, RngStream& rng,
-      ThreadPool* pool = nullptr) const override;
-
-  /// Batch of independent inputs fanned across `pool` with nested
-  /// crossbar shards in the same re-entrant pool (the scheme
-  /// TacitMapElectrical::execute_batch uses). Per-input streams are split
-  /// off `rng` up front in input order, so out[i] is bit-identical to a
-  /// serial loop of execute(inputs[i], ...) calls for any pool width.
+  /// XNOR+Popcounts of every input against all n weight vectors via
+  /// sequential row activation + digital popcount, exact for ideal
+  /// devices. Inputs fan out across `pool` and each input's independent
+  /// (row group x width tile) crossbars nest into the same re-entrant pool
+  /// (the scheme TacitMapElectrical::execute_batch uses). Bit-identical to
+  /// a serial execute(inputs[i]) loop for any pool width.
   [[nodiscard]] std::vector<std::vector<std::size_t>> execute_batch(
-      const std::vector<BitVec>& inputs, const dev::NoiseModel& noise,
+      std::span<const BitVec> inputs, const dev::NoiseModel& noise,
       RngStream& rng, ThreadPool* pool = nullptr) const override;
 
   /// Task shape (m input bits, n weight vectors).
@@ -74,8 +69,8 @@ class CustBinaryMap final : public MappedExecutor {
   /// "custbinarymap RxP (G grp x T tiles)".
   [[nodiscard]] std::string descriptor() const override;
 
-  /// Row-activation steps execute() needs for one input vector (row groups
-  /// on distinct crossbars run in parallel): max rows used in a crossbar.
+  /// Row-activation steps one input vector needs (row groups on distinct
+  /// crossbars run in parallel): max rows used in a crossbar.
   [[nodiscard]] std::size_t steps_per_input() const {
     return part_.steps_per_input();
   }
@@ -86,8 +81,8 @@ class CustBinaryMap final : public MappedExecutor {
   /// Configuration the executor was built with.
   [[nodiscard]] const CustBinaryConfig& config() const { return cfg_; }
 
-  /// Imposes drift on every tile's crossbar (see
-  /// TacitMapElectrical::set_drift for the fork discipline).
+  /// Imposes drift on every tile's crossbar (map::set_drift_each: tile k
+  /// forks base.fork(StreamTag::Drift, k, 0)).
   void set_drift(const dev::DriftModel& model, double t_s,
                  const RngStream& base) const override;
 
@@ -95,13 +90,8 @@ class CustBinaryMap final : public MappedExecutor {
   void clear_drift() const override;
 
  private:
-  // Digital reduction: 5-bit local counters over chunks, then a tree sum.
-  // Functionally a popcount; chunked to mirror the paper's circuit.
-  [[nodiscard]] std::size_t digital_popcount(const BitVec& bits) const;
-
-  // execute() with the per-call stream base already split off the
-  // caller's rng (execute_batch pre-splits one base per input).
-  [[nodiscard]] std::vector<std::size_t> execute_with_base(
+  // One input's popcounts, every shard drawing from a fork of `base`.
+  [[nodiscard]] std::vector<std::size_t> run_input(
       const BitVec& x, const dev::NoiseModel& noise, const RngStream& base,
       ThreadPool* pool) const;
 
@@ -110,9 +100,5 @@ class CustBinaryMap final : public MappedExecutor {
   // crossbars_[group * width_tiles + tile]
   std::vector<std::unique_ptr<xbar::DifferentialCrossbar>> crossbars_;
 };
-
-/// Interleaves a weight vector with its complement: [w1 ~w1 w2 ~w2 ...].
-/// Exposed for layout tests.
-[[nodiscard]] BitVec cust_interleave(const BitVec& w);
 
 }  // namespace eb::map

@@ -1,10 +1,19 @@
 #include "mapping/executor.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "mapping/custbinarymap.hpp"
 #include "mapping/tacitmap.hpp"
 
 namespace eb::map {
+
+std::vector<std::size_t> MappedExecutor::execute(const BitVec& x,
+                                                 const dev::NoiseModel& noise,
+                                                 RngStream& rng,
+                                                 ThreadPool* pool) const {
+  return std::move(execute_batch({&x, 1}, noise, rng, pool).front());
+}
 
 void MappedExecutor::set_drift(const dev::DriftModel& /*model*/,
                                double /*t_s*/,

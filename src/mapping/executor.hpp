@@ -12,18 +12,22 @@
 /// can drive *any* mapping through one interface -- a backend becomes a
 /// constructor choice instead of a code path.
 ///
-/// Batch semantics are part of the contract: execute_batch(inputs) must be
+/// An executor implements one run, execute_batch; execute(x) is the
+/// one-input batch, defined once here. Every implementation runs its
+/// batch through map::fan_out_batch (scheduler.hpp), which splits one
+/// RngStream base per input off the caller's stream, in input order,
+/// before anything is dispatched (see the determinism contract in
+/// docs/ARCHITECTURE.md). So out[i] of execute_batch(inputs) is
 /// bit-identical to a serial loop of execute(inputs[i]) calls for any
 /// thread-pool width, including the fully serial pool == nullptr path.
-/// Each implementation achieves that with per-input pre-split RngStream
-/// bases (see the determinism contract in docs/ARCHITECTURE.md); what the
-/// batch dimension maps onto is implementation-defined -- WDM wavelengths
-/// first for the optical executor, thread-pool fan-out for the electrical
-/// and Cust ones.
+/// What the batch dimension maps onto is implementation-defined -- WDM
+/// wavelengths first for the optical executor, thread-pool fan-out for
+/// the electrical and Cust ones.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,8 +46,8 @@ struct ExecutorDims {
 };
 
 /// Abstract XNOR+Popcount crossbar executor: one programmed weight matrix,
-/// executed against single inputs or batches, with injectable device noise
-/// and a splittable RngStream for every stochastic draw.
+/// executed against batches of inputs (or one), with injectable device
+/// noise and a splittable RngStream for every stochastic draw.
 ///
 /// Implementations: TacitMapElectrical, TacitMapOptical, CustBinaryMap.
 class MappedExecutor {
@@ -53,19 +57,21 @@ class MappedExecutor {
 
   /// XNOR+Popcounts of one input vector against all n weight vectors:
   /// out[j] = popcount(x XNOR w_j). Exact for ideal devices / zero noise.
-  /// Crossbar shards spread across `pool` (nullptr = serial; results are
+  /// The one-input execute_batch: it takes one split() off `rng`, and its
+  /// crossbar shards spread across `pool` (nullptr = serial; results are
   /// bit-identical for any pool width).
-  [[nodiscard]] virtual std::vector<std::size_t> execute(
+  [[nodiscard]] std::vector<std::size_t> execute(
       const BitVec& x, const dev::NoiseModel& noise, RngStream& rng,
-      ThreadPool* pool = nullptr) const = 0;
+      ThreadPool* pool = nullptr) const;
 
-  /// Batch of independent inputs: out[i] is bit-identical to a serial
-  /// loop of execute(inputs[i], ...) calls for any pool width (per-input
-  /// streams are split off `rng` up front, in input order). The pool works
-  /// at every level the mapping exposes: batch fan-out, WDM passes and
+  /// The one run every executor implements. out[i][j] =
+  /// popcount(inputs[i] XNOR w_j), bit-identical to a serial loop of
+  /// execute(inputs[i], ...) calls for any pool width (per-input streams
+  /// are split off `rng` up front, in input order). The pool works at
+  /// every level the mapping exposes: batch fan-out, WDM passes and
   /// nested crossbar shards share one re-entrant pool.
   [[nodiscard]] virtual std::vector<std::vector<std::size_t>> execute_batch(
-      const std::vector<BitVec>& inputs, const dev::NoiseModel& noise,
+      std::span<const BitVec> inputs, const dev::NoiseModel& noise,
       RngStream& rng, ThreadPool* pool = nullptr) const = 0;
 
   /// Task shape this executor was programmed with (inputs must be
@@ -83,8 +89,8 @@ class MappedExecutor {
   /// StreamTag::Drift). Calibration references stay pristine, so drifted
   /// executors return degraded popcounts -- exactly what the serving
   /// layer's canary monitor detects. Thread-safe against concurrent
-  /// execute() calls (the factor tables swap atomically); `const` because
-  /// drift is imposed on executors the serving layer shares as
+  /// execute_batch() calls (the factor tables swap atomically); `const`
+  /// because drift is imposed on executors the serving layer shares as
   /// `shared_ptr<const MappedExecutor>`. Default: no-op (an executor
   /// without device state simply never degrades).
   virtual void set_drift(const dev::DriftModel& model, double t_s,

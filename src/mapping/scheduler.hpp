@@ -1,5 +1,6 @@
 /// \file
-/// \brief Sharded crossbar execution.
+/// \brief Sharded crossbar execution, and the skeleton every mapped
+/// executor shares.
 ///
 /// A mapped layer decomposes into a grid of independent crossbar steps:
 /// TacitMap runs one VMM per (row segment x column tile) crossbar,
@@ -12,6 +13,11 @@
 /// calling thread in a fixed order (the adder-tree merge; integer partial
 /// sums make the reduction order-invariant anyway).
 ///
+/// The parts of an executor that do not depend on its mapping are written
+/// once here, as function templates: the batch fan-out every
+/// execute_batch runs (fan_out_batch, over split_bases) and the drift
+/// loops over an executor's crossbars (set_drift_each, clear_drift_each).
+///
 /// Determinism contract: every shard draws read-noise from its own
 /// RngStream forked as (tag, shard_index, rep) from a base stream captured
 /// before dispatch. Because fork() is a pure function of the base state and
@@ -20,23 +26,28 @@
 /// pool sizes, including the fully serial pool == nullptr path.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/bitvec.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "device/drift.hpp"
 
 namespace eb::map {
 
 /// One stream base per batch input, split off `rng` serially in input
 /// order: exactly the family a serial execute() loop would consume, so a
 /// batch fan-out scheduled over any pool width stays bit-identical to
-/// that loop. Every executor's execute_batch (and the WDM pass) derives
-/// its per-input bases through this one helper -- it IS the batch
-/// determinism contract, keep it single-sourced.
+/// that loop. fan_out_batch derives every executor's per-input bases
+/// through this one helper -- it IS the batch determinism contract, keep
+/// it single-sourced.
 [[nodiscard]] inline std::vector<RngStream> split_bases(RngStream& rng,
                                                         std::size_t n) {
   std::vector<RngStream> bases;
@@ -45,6 +56,64 @@ namespace eb::map {
     bases.push_back(rng.split());
   }
   return bases;
+}
+
+/// The body of every executor's execute_batch. Splits one stream base per
+/// input off `rng` (split_bases), cuts the batch into consecutive groups
+/// of at most `group` >= 1 inputs -- one input for the electrical and Cust
+/// executors, one WDM pass for the optical one -- and fans the groups out
+/// across `pool` (nullptr, or a single group, runs them inline).
+/// run_group(xs, bases, out) fills out[k] with the popcounts of xs[k],
+/// drawing only from streams derived from bases[k]; its crossbar shards
+/// nest into the same re-entrant pool. Returns one popcount row per input,
+/// in input order, bit-identical for any pool width and any grouping.
+template <typename GroupFn>
+[[nodiscard]] std::vector<std::vector<std::size_t>> fan_out_batch(
+    std::span<const BitVec> inputs, RngStream& rng, std::size_t group,
+    ThreadPool* pool, GroupFn&& run_group) {
+  const std::vector<RngStream> bases = split_bases(rng, inputs.size());
+  const std::span<const RngStream> base_span(bases);
+  std::vector<std::vector<std::size_t>> out(inputs.size());
+  const std::span<std::vector<std::size_t>> out_span(out);
+  const std::size_t groups = (inputs.size() + group - 1) / group;
+  auto body = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t g = begin; g < end; ++g) {
+      const std::size_t lo = g * group;
+      const std::size_t len = std::min(group, inputs.size() - lo);
+      run_group(inputs.subspan(lo, len), base_span.subspan(lo, len),
+                out_span.subspan(lo, len));
+    }
+  };
+  if (pool != nullptr && groups > 1) {
+    pool->parallel_for(0, groups, 1, body);
+  } else {
+    body(0, groups);
+  }
+  return out;
+}
+
+/// Imposes drift on each of an executor's crossbars: crossbar k forks
+/// base.fork(StreamTag::Drift, k, 0), so its factor table is independent
+/// of every other crossbar's yet bit-identical for any evaluation order.
+template <typename Crossbar>
+void set_drift_each(const std::vector<std::unique_ptr<Crossbar>>& crossbars,
+                    const dev::DriftModel& model, double t_s,
+                    const RngStream& base) {
+  for (std::size_t k = 0; k < crossbars.size(); ++k) {
+    crossbars[k]->set_drift(
+        model, t_s,
+        base.fork(static_cast<std::uint64_t>(StreamTag::Drift), k, 0));
+  }
+}
+
+/// Restores each of an executor's crossbars to its pristine programmed
+/// values (an online rewrite).
+template <typename Crossbar>
+void clear_drift_each(
+    const std::vector<std::unique_ptr<Crossbar>>& crossbars) {
+  for (const auto& xb : crossbars) {
+    xb->clear_drift();
+  }
 }
 
 /// One independent crossbar step of a segments x tiles grid.

@@ -17,6 +17,32 @@ std::string tiling_suffix(const TacitPartition& part) {
   return os.str();
 }
 
+// Builds and programs the partition's crossbars in flat-index order:
+// crossbar (s, t), seeded seed + s * tiles + t, holds row segment s of the
+// [w ; ~w] stacks of tile t's weight vectors, one vector per column.
+template <typename Crossbar, typename Device>
+std::vector<std::unique_ptr<Crossbar>> program_crossbars(
+    const BitMatrix& weights, const TacitPartition& part,
+    xbar::CrossbarDims dims, const Device& device, std::uint64_t seed) {
+  const std::size_t n_tiles = part.col_tiles.size();
+  std::vector<std::unique_ptr<Crossbar>> crossbars;
+  crossbars.reserve(part.crossbars());
+  for (std::size_t s = 0; s < part.row_segments.size(); ++s) {
+    for (std::size_t t = 0; t < n_tiles; ++t) {
+      auto xb =
+          std::make_unique<Crossbar>(dims, device, seed + s * n_tiles + t);
+      const Range seg = part.row_segments[s];
+      const Range tile = part.col_tiles[t];
+      for (std::size_t j = 0; j < tile.length; ++j) {
+        const BitVec stack = tacit_column_stack(weights.row(tile.begin + j));
+        xb->program_column(j, stack.slice(seg.begin, seg.length));
+      }
+      crossbars.push_back(std::move(xb));
+    }
+  }
+  return crossbars;
+}
+
 }  // namespace
 
 BitVec tacit_column_stack(const BitVec& w) {
@@ -32,52 +58,17 @@ BitVec tacit_row_drive(const BitVec& x) {
 TacitMapElectrical::TacitMapElectrical(const BitMatrix& weights,
                                        TacitElectricalConfig cfg)
     : cfg_(cfg),
-      part_(TacitPartition::build(weights.cols(), weights.rows(), cfg.dims)) {
-  const std::size_t n_tiles = part_.col_tiles.size();
-  crossbars_.reserve(part_.crossbars());
-  for (std::size_t s = 0; s < part_.row_segments.size(); ++s) {
-    for (std::size_t t = 0; t < n_tiles; ++t) {
-      auto xb = std::make_unique<xbar::ElectricalCrossbar>(
-          cfg_.dims, cfg_.device,
-          cfg_.seed + s * n_tiles + t);
-      const Range seg = part_.row_segments[s];
-      const Range tile = part_.col_tiles[t];
-      for (std::size_t j = 0; j < tile.length; ++j) {
-        const BitVec stack =
-            tacit_column_stack(weights.row(tile.begin + j));
-        xb->program_column(j, stack.slice(seg.begin, seg.length));
-      }
-      crossbars_.push_back(std::move(xb));
-    }
-  }
-}
-
-std::vector<std::size_t> TacitMapElectrical::execute(
-    const BitVec& x, const dev::NoiseModel& noise, RngStream& rng,
-    ThreadPool* pool) const {
-  return execute_with_base(x, noise, rng.split(), pool);
-}
+      part_(TacitPartition::build(weights.cols(), weights.rows(), cfg.dims)),
+      crossbars_(program_crossbars<xbar::ElectricalCrossbar>(
+          weights, part_, cfg_.dims, cfg_.device, cfg_.seed)) {}
 
 std::vector<std::vector<std::size_t>> TacitMapElectrical::execute_batch(
-    const std::vector<BitVec>& inputs, const dev::NoiseModel& noise,
+    std::span<const BitVec> inputs, const dev::NoiseModel& noise,
     RngStream& rng, ThreadPool* pool) const {
-  // split_bases: per-input streams in input order == the family a serial
-  // execute() loop consumes, for any fan-out schedule.
-  const std::vector<RngStream> bases = split_bases(rng, inputs.size());
-  std::vector<std::vector<std::size_t>> out(inputs.size());
-  auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      // Nested parallelism: each input's crossbar shards land in the same
-      // pool its siblings fan out over (parallel_for is re-entrant).
-      out[i] = execute_with_base(inputs[i], noise, bases[i], pool);
-    }
-  };
-  if (pool != nullptr && inputs.size() > 1) {
-    pool->parallel_for(0, inputs.size(), 1, body);
-  } else {
-    body(0, inputs.size());
-  }
-  return out;
+  return fan_out_batch(inputs, rng, /*group=*/1, pool,
+                       [&](auto x, auto base, auto out) {
+                         out[0] = run_input(x[0], noise, base[0], pool);
+                       });
 }
 
 ExecutorDims TacitMapElectrical::dims() const { return {part_.m, part_.n}; }
@@ -91,20 +82,12 @@ std::string TacitMapElectrical::descriptor() const {
 
 void TacitMapElectrical::set_drift(const dev::DriftModel& model, double t_s,
                                    const RngStream& base) const {
-  for (std::size_t i = 0; i < crossbars_.size(); ++i) {
-    crossbars_[i]->set_drift(
-        model, t_s,
-        base.fork(static_cast<std::uint64_t>(StreamTag::Drift), i, 0));
-  }
+  set_drift_each(crossbars_, model, t_s, base);
 }
 
-void TacitMapElectrical::clear_drift() const {
-  for (const auto& xb : crossbars_) {
-    xb->clear_drift();
-  }
-}
+void TacitMapElectrical::clear_drift() const { clear_drift_each(crossbars_); }
 
-std::vector<std::size_t> TacitMapElectrical::execute_with_base(
+std::vector<std::size_t> TacitMapElectrical::run_input(
     const BitVec& x, const dev::NoiseModel& noise, const RngStream& base,
     ThreadPool* pool) const {
   EB_REQUIRE(x.size() == part_.m, "input length must match task m");
@@ -129,7 +112,7 @@ std::vector<std::size_t> TacitMapElectrical::execute_with_base(
   }
 
   // One shard per (segment x tile) crossbar step; each draws noise from
-  // its own stream forked off this call's pre-split base.
+  // its own stream forked off the input's pre-split base.
   const CrossbarScheduler scheduler(pool);
   scheduler.run(
       part_.row_segments.size(), n_tiles, base, StreamTag::TacitElectrical,
@@ -172,34 +155,8 @@ TacitMapOptical::TacitMapOptical(const BitMatrix& weights,
     : cfg_(cfg),
       part_(TacitPartition::build(weights.cols(), weights.rows(), cfg.dims)) {
   EB_REQUIRE(cfg_.wdm_capacity >= 1, "WDM capacity must be >= 1");
-  const std::size_t n_tiles = part_.col_tiles.size();
-  crossbars_.reserve(part_.crossbars());
-  for (std::size_t s = 0; s < part_.row_segments.size(); ++s) {
-    for (std::size_t t = 0; t < n_tiles; ++t) {
-      auto xb = std::make_unique<xbar::OpticalCrossbar>(
-          cfg_.dims, cfg_.device, cfg_.seed + s * n_tiles + t);
-      const Range seg = part_.row_segments[s];
-      const Range tile = part_.col_tiles[t];
-      for (std::size_t j = 0; j < tile.length; ++j) {
-        const BitVec stack =
-            tacit_column_stack(weights.row(tile.begin + j));
-        xb->program_column(j, stack.slice(seg.begin, seg.length));
-      }
-      crossbars_.push_back(std::move(xb));
-    }
-  }
-}
-
-std::vector<std::vector<std::size_t>> TacitMapOptical::execute_wdm(
-    const std::vector<BitVec>& inputs, const dev::NoiseModel& noise,
-    RngStream& rng, ThreadPool* pool) const {
-  EB_REQUIRE(!inputs.empty(), "need at least one input vector");
-  EB_REQUIRE(inputs.size() <= cfg_.wdm_capacity,
-             "input batch exceeds WDM capacity");
-  // split_bases: per-input streams, so WDM coalescing never changes a
-  // channel's result vs a serial execute() loop.
-  const std::vector<RngStream> bases = split_bases(rng, inputs.size());
-  return wdm_pass(inputs, noise, bases, pool);
+  crossbars_ = program_crossbars<xbar::OpticalCrossbar>(
+      weights, part_, cfg_.dims, cfg_.device, cfg_.seed);
 }
 
 std::vector<std::vector<std::size_t>> TacitMapOptical::wdm_pass(
@@ -302,46 +259,18 @@ std::vector<std::vector<std::size_t>> TacitMapOptical::wdm_pass(
   return out;
 }
 
-std::vector<std::size_t> TacitMapOptical::execute(
-    const BitVec& x, const dev::NoiseModel& noise, RngStream& rng,
-    ThreadPool* pool) const {
-  return execute_wdm({x}, noise, rng, pool).front();
-}
-
 std::vector<std::vector<std::size_t>> TacitMapOptical::execute_batch(
-    const std::vector<BitVec>& inputs, const dev::NoiseModel& noise,
+    std::span<const BitVec> inputs, const dev::NoiseModel& noise,
     RngStream& rng, ThreadPool* pool) const {
-  // Wavelengths first, threads second: the batch tiles into
-  // ceil(B / wdm_capacity) WDM passes -- the hardware's native batch
-  // dimension -- and the *passes* fan out across the pool, with each
-  // pass's crossbar shards nesting into the same re-entrant pool.
-  if (inputs.empty()) {
-    return {};
-  }
-  // split_bases: per-input streams, independent of the pass tiling.
-  const std::vector<RngStream> bases = split_bases(rng, inputs.size());
-  const std::size_t cap = cfg_.wdm_capacity;
-  const std::size_t passes = (inputs.size() + cap - 1) / cap;
-  std::vector<std::vector<std::size_t>> out(inputs.size());
-  const std::span<const BitVec> in_span(inputs);
-  const std::span<const RngStream> base_span(bases);
-  auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t p = begin; p < end; ++p) {
-      const std::size_t lo = p * cap;
-      const std::size_t len = std::min(cap, inputs.size() - lo);
-      auto counts = wdm_pass(in_span.subspan(lo, len), noise,
-                             base_span.subspan(lo, len), pool);
-      for (std::size_t k = 0; k < len; ++k) {
-        out[lo + k] = std::move(counts[k]);
-      }
-    }
-  };
-  if (pool != nullptr && passes > 1) {
-    pool->parallel_for(0, passes, 1, body);
-  } else {
-    body(0, passes);
-  }
-  return out;
+  // Wavelengths first, threads second: each group is one WDM pass -- the
+  // hardware's native batch dimension -- and the *passes* fan out across
+  // the pool, with each pass's crossbar shards nesting into the same
+  // re-entrant pool.
+  return fan_out_batch(inputs, rng, cfg_.wdm_capacity, pool,
+                       [&](auto xs, auto bases, auto out) {
+                         auto counts = wdm_pass(xs, noise, bases, pool);
+                         std::move(counts.begin(), counts.end(), out.begin());
+                       });
 }
 
 ExecutorDims TacitMapOptical::dims() const { return {part_.m, part_.n}; }
@@ -355,17 +284,9 @@ std::string TacitMapOptical::descriptor() const {
 
 void TacitMapOptical::set_drift(const dev::DriftModel& model, double t_s,
                                 const RngStream& base) const {
-  for (std::size_t i = 0; i < crossbars_.size(); ++i) {
-    crossbars_[i]->set_drift(
-        model, t_s,
-        base.fork(static_cast<std::uint64_t>(StreamTag::Drift), i, 0));
-  }
+  set_drift_each(crossbars_, model, t_s, base);
 }
 
-void TacitMapOptical::clear_drift() const {
-  for (const auto& xb : crossbars_) {
-    xb->clear_drift();
-  }
-}
+void TacitMapOptical::clear_drift() const { clear_drift_each(crossbars_); }
 
 }  // namespace eb::map

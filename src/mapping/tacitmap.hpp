@@ -13,24 +13,26 @@
 ///
 /// Two functional executors are provided, both implementing
 /// map::MappedExecutor:
-///  * TacitMapElectrical -- ePCM crossbars (TacitMap-ePCM configuration)
+///  * TacitMapElectrical -- ePCM crossbars (TacitMap-ePCM configuration),
+///    one VMM per input;
 ///  * TacitMapOptical    -- oPCM crossbars + transmitter/receiver, with
 ///    WDM MMM execution of up to K input vectors per step (EinsteinBarrier
-///    VCore behaviour); execute_batch tiles larger batches into
-///    ceil(B / K) WDM passes.
+///    VCore behaviour); execute_batch tiles a batch into ceil(B / K) WDM
+///    passes.
 ///
-/// Both split oversize tasks with TacitPartition and accumulate partial
-/// popcounts across row segments digitally (the ECore output-register adder
-/// in the real design).
+/// Both program the same [w ; ~w] column stacks, split oversize tasks with
+/// TacitPartition and accumulate partial popcounts across row segments
+/// digitally (the ECore output-register adder in the real design).
 ///
 /// Execution model: each (row segment x column tile) crossbar step is an
-/// independent shard; execute() flattens the grid through
-/// map::CrossbarScheduler, which runs shards across an optional ThreadPool
-/// (pool == nullptr -> serial) and reduces the partial popcounts
-/// deterministically. Every shard draws read-noise from its own RngStream
-/// derived from the caller's stream -- per shard for the electrical path,
-/// per (shard, wavelength channel) for the optical one -- so noisy results
-/// are bit-identical for any thread count and any WDM batch tiling. An
+/// independent shard; an input (electrical) or a WDM pass (optical)
+/// flattens the grid through map::CrossbarScheduler, which runs shards
+/// across an optional ThreadPool (pool == nullptr -> serial) and reduces
+/// the partial popcounts deterministically. Every shard draws read-noise
+/// from its own RngStream derived from the caller's stream -- per shard
+/// for the electrical path, per (shard, wavelength channel) for the
+/// optical one -- so noisy results are bit-identical for any thread count
+/// and any WDM batch tiling. An
 /// optical shard reads all of its pass's wavelength channels at once, in
 /// one OpticalCrossbar::wdm_powers sweep of the crossbar's cell table, as
 /// the hardware does; a channel whose segment drive is empty is left out
@@ -83,22 +85,14 @@ class TacitMapElectrical final : public MappedExecutor {
   /// requires (row segments x column tiles).
   TacitMapElectrical(const BitMatrix& weights, TacitElectricalConfig cfg);
 
-  /// XNOR+Popcounts of one input vector against all n weight vectors:
-  /// out[j] = popcount(x XNOR w_j). Exact for ideal devices / zero noise.
-  /// Independent (segment x tile) crossbar steps shard across `pool`
-  /// (nullptr -> serial, bit-identical to any pool size).
-  [[nodiscard]] std::vector<std::size_t> execute(
-      const BitVec& x, const dev::NoiseModel& noise, RngStream& rng,
-      ThreadPool* pool = nullptr) const override;
-
-  /// Batch of independent inputs: out[i] is bit-identical to a serial loop
-  /// of execute(inputs[i], ...) calls (per-input streams are split off
-  /// `rng` up front, in input order, for any pool width). The pool works
-  /// at both levels: inputs fan out across it and each input's crossbar
-  /// shards nest into the same pool (parallel_for is re-entrant) -- the
-  /// serving layer's batch-fan-out x crossbar-shard overlap.
+  /// One analog VMM per input: out[i][j] = popcount(inputs[i] XNOR w_j),
+  /// exact for ideal devices / zero noise. Inputs fan out across `pool`
+  /// and each input's independent (segment x tile) crossbar steps nest
+  /// into the same pool (parallel_for is re-entrant) -- the serving
+  /// layer's batch-fan-out x crossbar-shard overlap. Bit-identical to a
+  /// serial execute(inputs[i]) loop for any pool width.
   [[nodiscard]] std::vector<std::vector<std::size_t>> execute_batch(
-      const std::vector<BitVec>& inputs, const dev::NoiseModel& noise,
+      std::span<const BitVec> inputs, const dev::NoiseModel& noise,
       RngStream& rng, ThreadPool* pool = nullptr) const override;
 
   /// Task shape (m input bits, n weight vectors).
@@ -113,13 +107,12 @@ class TacitMapElectrical final : public MappedExecutor {
   /// Configuration the executor was built with.
   [[nodiscard]] const TacitElectricalConfig& config() const { return cfg_; }
 
-  /// Crossbar VMM passes one execute() performs (row segments run on
-  /// distinct crossbars in parallel; this counts the sequential passes: 1).
+  /// Crossbar VMM passes one input takes (row segments run on distinct
+  /// crossbars in parallel; this counts the sequential passes: 1).
   [[nodiscard]] static constexpr std::size_t steps_per_input() { return 1; }
 
-  /// Imposes drift on every tile's crossbar: tile k forks
-  /// base.fork(StreamTag::Drift, k, 0) so tables are independent per
-  /// crossbar yet bit-identical for any evaluation order.
+  /// Imposes drift on every tile's crossbar (map::set_drift_each: tile k
+  /// forks base.fork(StreamTag::Drift, k, 0)).
   void set_drift(const dev::DriftModel& model, double t_s,
                  const RngStream& base) const override;
 
@@ -127,9 +120,8 @@ class TacitMapElectrical final : public MappedExecutor {
   void clear_drift() const override;
 
  private:
-  // execute() with the per-call stream base already split off the
-  // caller's rng (execute_batch pre-splits one base per input).
-  [[nodiscard]] std::vector<std::size_t> execute_with_base(
+  // One input's popcounts, every shard drawing from a fork of `base`.
+  [[nodiscard]] std::vector<std::size_t> run_input(
       const BitVec& x, const dev::NoiseModel& noise, const RngStream& base,
       ThreadPool* pool) const;
 
@@ -159,30 +151,17 @@ class TacitMapOptical final : public MappedExecutor {
   /// Programs the task's weights into the partition's crossbars.
   TacitMapOptical(const BitMatrix& weights, TacitOpticalConfig cfg);
 
-  /// WDM MMM: up to `wdm_capacity` input vectors in one crossbar pass.
-  /// out[i][j] = popcount(inputs[i] XNOR w_j). Crossbar shards spread
-  /// across `pool` (nullptr -> serial, bit-identical to any pool size).
-  /// Every input owns a private stream split off `rng` in input order and
-  /// every shard derives per-channel forks from it, so out[i] is
-  /// bit-identical to execute(inputs[i]) run against the same stream
-  /// family -- WDM coalescing never changes a request's result.
-  [[nodiscard]] std::vector<std::vector<std::size_t>> execute_wdm(
-      const std::vector<BitVec>& inputs, const dev::NoiseModel& noise,
-      RngStream& rng, ThreadPool* pool = nullptr) const;
-
-  /// Single-vector convenience (a one-channel WDM pass).
-  [[nodiscard]] std::vector<std::size_t> execute(
-      const BitVec& x, const dev::NoiseModel& noise, RngStream& rng,
-      ThreadPool* pool = nullptr) const override;
-
-  /// Arbitrary batch sizes: tiles the batch into ceil(B / wdm_capacity)
-  /// WDM passes (each pass one execute_wdm-style MMM) and fans the passes
-  /// across `pool`; each pass's crossbar shards nest into the same
-  /// re-entrant pool. Per-input pre-split streams keep the result
-  /// bit-identical to a serial execute(inputs[i]) loop for any pool width
-  /// and any tiling.
+  /// WDM MMM: tiles the batch into ceil(B / wdm_capacity) WDM passes, each
+  /// carrying up to `wdm_capacity` inputs on distinct wavelengths through
+  /// one crossbar pass, and fans the passes across `pool`; each pass's
+  /// crossbar shards nest into the same re-entrant pool. out[i][j] =
+  /// popcount(inputs[i] XNOR w_j). Every input owns a private stream split
+  /// off `rng` in input order and every shard derives per-channel forks
+  /// from it, so out[i] is bit-identical to execute(inputs[i]) run against
+  /// the same stream family -- WDM coalescing and pass tiling never change
+  /// a request's result, for any pool width.
   [[nodiscard]] std::vector<std::vector<std::size_t>> execute_batch(
-      const std::vector<BitVec>& inputs, const dev::NoiseModel& noise,
+      std::span<const BitVec> inputs, const dev::NoiseModel& noise,
       RngStream& rng, ThreadPool* pool = nullptr) const override;
 
   /// Task shape (m input bits, n weight vectors).
@@ -197,8 +176,8 @@ class TacitMapOptical final : public MappedExecutor {
   /// Configuration the executor was built with.
   [[nodiscard]] const TacitOpticalConfig& config() const { return cfg_; }
 
-  /// Imposes drift on every tile's crossbar (see
-  /// TacitMapElectrical::set_drift for the fork discipline).
+  /// Imposes drift on every tile's crossbar (map::set_drift_each: tile k
+  /// forks base.fork(StreamTag::Drift, k, 0)).
   void set_drift(const dev::DriftModel& model, double t_s,
                  const RngStream& base) const override;
 
@@ -207,9 +186,8 @@ class TacitMapOptical final : public MappedExecutor {
 
  private:
   // One WDM pass over `inputs` (<= wdm_capacity of them) where inputs[i]
-  // draws every stochastic sample from streams forked off bases[i] --
-  // the shared core of execute_wdm and execute_batch. Each shard makes one
-  // wdm_powers call for all its channels.
+  // draws every stochastic sample from streams forked off bases[i]. Each
+  // shard makes one wdm_powers call for all its channels.
   [[nodiscard]] std::vector<std::vector<std::size_t>> wdm_pass(
       std::span<const BitVec> inputs, const dev::NoiseModel& noise,
       std::span<const RngStream> bases, ThreadPool* pool) const;

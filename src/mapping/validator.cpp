@@ -49,9 +49,7 @@ ValidationReport validate_mapped(const MappedExecutor& mapped,
   // runs one fused XNOR+Popcount GEMM over all windows); the mapped side
   // runs one execute_batch call -- the serving-layer schedule, which every
   // executor guarantees is bit-identical to a serial execute() loop. The
-  // optical executor tiles the batch into WDM passes internally, so the
-  // old hand-rolled wdm_capacity chunk loop lives in the executor now,
-  // not here.
+  // optical executor tiles the batch into WDM passes internally.
   const auto gold = task.reference();
   const auto got = mapped.execute_batch(task.inputs, noise, rng, pool);
   ValidationReport rep;
@@ -60,30 +58,6 @@ ValidationReport validate_mapped(const MappedExecutor& mapped,
   }
   finalize(rep);
   return rep;
-}
-
-ValidationReport validate_tacit_electrical(const XnorPopcountTask& task,
-                                           const TacitElectricalConfig& cfg,
-                                           const dev::NoiseModel& noise,
-                                           RngStream& rng, ThreadPool* pool) {
-  const TacitMapElectrical mapped(task.weights, cfg);
-  return validate_mapped(mapped, task, noise, rng, pool);
-}
-
-ValidationReport validate_tacit_optical(const XnorPopcountTask& task,
-                                        const TacitOpticalConfig& cfg,
-                                        const dev::NoiseModel& noise,
-                                        RngStream& rng, ThreadPool* pool) {
-  const TacitMapOptical mapped(task.weights, cfg);
-  return validate_mapped(mapped, task, noise, rng, pool);
-}
-
-ValidationReport validate_cust_binary(const XnorPopcountTask& task,
-                                      const CustBinaryConfig& cfg,
-                                      const dev::NoiseModel& noise,
-                                      RngStream& rng, ThreadPool* pool) {
-  const CustBinaryMap mapped(task.weights, cfg);
-  return validate_mapped(mapped, task, noise, rng, pool);
 }
 
 }  // namespace eb::map

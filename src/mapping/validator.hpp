@@ -5,8 +5,11 @@
 /// With ideal devices and zero noise every mapping must reproduce the
 /// reference XNOR+Popcounts bit-exactly; with noise injected, the validator
 /// reports an error-rate summary instead (used by the robustness ablation).
-/// All mappings validate through the polymorphic MappedExecutor batch API,
-/// so the comparison exercises exactly the path the serving layer runs.
+/// Every mapping validates through one entry point, validate_mapped, which
+/// takes the executor itself and runs it through the MappedExecutor batch
+/// API -- exactly the path the serving layer runs:
+///
+///   validate_mapped(TacitMapElectrical(task.weights, cfg), task, noise, rng)
 #pragma once
 
 #include <cstddef>
@@ -15,9 +18,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "device/noise.hpp"
-#include "mapping/custbinarymap.hpp"
 #include "mapping/executor.hpp"
-#include "mapping/tacitmap.hpp"
 #include "mapping/task.hpp"
 
 namespace eb::map {
@@ -53,22 +54,5 @@ struct ValidationReport {
                                                const dev::NoiseModel& noise,
                                                RngStream& rng,
                                                ThreadPool* pool = nullptr);
-
-/// Builds a TacitMapElectrical from `cfg` and validates it on `task`.
-[[nodiscard]] ValidationReport validate_tacit_electrical(
-    const XnorPopcountTask& task, const TacitElectricalConfig& cfg,
-    const dev::NoiseModel& noise, RngStream& rng, ThreadPool* pool = nullptr);
-
-/// Builds a TacitMapOptical from `cfg` and validates it on `task` (the
-/// batch API tiles the inputs into WDM passes of cfg.wdm_capacity, as the
-/// hardware would).
-[[nodiscard]] ValidationReport validate_tacit_optical(
-    const XnorPopcountTask& task, const TacitOpticalConfig& cfg,
-    const dev::NoiseModel& noise, RngStream& rng, ThreadPool* pool = nullptr);
-
-/// Builds a CustBinaryMap from `cfg` and validates it on `task`.
-[[nodiscard]] ValidationReport validate_cust_binary(
-    const XnorPopcountTask& task, const CustBinaryConfig& cfg,
-    const dev::NoiseModel& noise, RngStream& rng, ThreadPool* pool = nullptr);
 
 }  // namespace eb::map

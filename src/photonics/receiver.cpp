@@ -40,19 +40,6 @@ std::size_t Receiver::decode_popcount(double power_mw,
   return static_cast<std::size_t>(std::llround(clamped));
 }
 
-std::vector<std::vector<std::size_t>> Receiver::decode_frame(
-    const std::vector<std::vector<double>>& powers,
-    const dev::NoiseModel& noise, RngStream& rng) const {
-  std::vector<std::vector<std::size_t>> out(powers.size());
-  for (std::size_t k = 0; k < powers.size(); ++k) {
-    out[k].reserve(powers[k].size());
-    for (double p : powers[k]) {
-      out[k].push_back(decode_popcount(p, noise, rng));
-    }
-  }
-  return out;
-}
-
 double Receiver::power_mw(std::size_t n_cols) const {
   return crossbar_tia_power_mw(n_cols, params_.tia_power_mw);
 }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "device/noise.hpp"
@@ -38,16 +37,13 @@ class Receiver {
 
   // Converts one column's received optical power into a popcount estimate:
   // TIA (+noise) -> ADC -> digital calibration. Exact for ideal devices
-  // and zero noise. Builds nothing: the TIA, its full scale and the
-  // calibration terms are fixed at construction.
+  // and zero noise. The receiver's one decode: a WDM pass calls it per
+  // (channel, column), each channel drawing from its own stream. Builds
+  // nothing: the TIA, its full scale and the calibration terms are fixed
+  // at construction.
   [[nodiscard]] std::size_t decode_popcount(double power_mw,
                                             const dev::NoiseModel& noise,
                                             RngStream& rng) const;
-
-  // Vector/WDM form: powers[k][col] -> counts[k][col].
-  [[nodiscard]] std::vector<std::vector<std::size_t>> decode_frame(
-      const std::vector<std::vector<double>>& powers,
-      const dev::NoiseModel& noise, RngStream& rng) const;
 
   // Total receiver power for `n_cols` columns (paper Eq. 2).
   [[nodiscard]] double power_mw(std::size_t n_cols) const;

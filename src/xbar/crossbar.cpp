@@ -397,29 +397,28 @@ void ElectricalCrossbar::program_column(std::size_t col, const BitVec& bits) {
   // Rows beyond the vector stay untouched (caller owns layout policy).
 }
 
-std::vector<double> ElectricalCrossbar::vmm_currents(
-    const std::vector<double>& v_rows, const dev::NoiseModel& noise, RngStream& rng,
-    double t_s, std::optional<std::size_t> cols) const {
-  EB_REQUIRE(v_rows.size() <= dims_.rows, "too many row voltages");
+std::vector<double> ElectricalCrossbar::vmm_currents_bits(
+    const BitVec& active, double v_read, const dev::NoiseModel& noise,
+    RngStream& rng, double t_s, std::optional<std::size_t> cols) const {
+  EB_REQUIRE(active.size() <= dims_.rows, "too many active rows");
   const std::size_t n = read_width(dims_, cols);
   const auto drift = drift_.get();
   // Device drift scales every cell alike: one power law per read.
   const double k = dev::drift_factor(params_, t_s);
   std::vector<double> out(n, 0.0);
-  for (std::size_t r = 0; r < v_rows.size(); ++r) {
-    const double v = v_rows[r];
-    if (v == 0.0) {
+  for (std::size_t r = 0; r < active.size(); ++r) {
+    if (!active.get(r)) {
       continue;
     }
     const double* g = g_us_.data() + r * dims_.cols;
     if (drift) {
       const double* f = drift->data() + r * dims_.cols;
       for (std::size_t c = 0; c < n; ++c) {
-        out[c] += v * (g[c] * k) * f[c];
+        out[c] += v_read * (g[c] * k) * f[c];
       }
     } else {
       for (std::size_t c = 0; c < n; ++c) {
-        out[c] += v * (g[c] * k);
+        out[c] += v_read * (g[c] * k);
       }
     }
   }
@@ -427,17 +426,6 @@ std::vector<double> ElectricalCrossbar::vmm_currents(
       static_cast<double>(dims_.rows) * on_current(1.0);
   noise_columns(out.data(), n, dims_, full_scale, noise, rng);
   return out;
-}
-
-std::vector<double> ElectricalCrossbar::vmm_currents_bits(
-    const BitVec& active, double v_read, const dev::NoiseModel& noise,
-    RngStream& rng, double t_s, std::optional<std::size_t> cols) const {
-  EB_REQUIRE(active.size() <= dims_.rows, "too many active rows");
-  std::vector<double> v(active.size(), 0.0);
-  for (std::size_t r = 0; r < active.size(); ++r) {
-    v[r] = active.get(r) ? v_read : 0.0;
-  }
-  return vmm_currents(v, noise, rng, t_s, cols);
 }
 
 double ElectricalCrossbar::on_current(double v_read) const {
@@ -518,29 +506,6 @@ std::vector<double> OpticalCrossbar::wdm_powers(
     noise_columns(out.data() + k * n, n, dims_, full_scale, noise, *rngs[k]);
   }
   return out;
-}
-
-std::vector<std::vector<double>> OpticalCrossbar::mmm_powers(
-    const std::vector<BitVec>& wavelength_inputs, double p_in_mw,
-    const dev::NoiseModel& noise, RngStream& rng) const {
-  const std::vector<RngStream*> rngs(wavelength_inputs.size(), &rng);
-  const std::vector<double> flat =
-      wdm_powers(wavelength_inputs, p_in_mw, noise, rngs);
-  std::vector<std::vector<double>> out(wavelength_inputs.size());
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    const auto first = flat.begin() + static_cast<std::ptrdiff_t>(
-                                          k * dims_.cols);
-    out[k].assign(first, first + static_cast<std::ptrdiff_t>(dims_.cols));
-  }
-  return out;
-}
-
-std::vector<double> OpticalCrossbar::vmm_powers(const BitVec& input,
-                                                double p_in_mw,
-                                                const dev::NoiseModel& noise,
-                                                RngStream& rng) const {
-  RngStream* const stream = &rng;
-  return wdm_powers({&input, 1}, p_in_mw, noise, {&stream, 1});
 }
 
 double OpticalCrossbar::on_power(double p_in_mw) const {

@@ -11,11 +11,13 @@
 //
 // Every crossbar is one device-params struct plus one flat row-major
 // table holding, per cell, the value a read multiplies by (programmed
-// conductance, or programmed transmission x insertion loss). Reads keep
-// a fixed operand grouping -- (v * (g * k)) * f electrically, (p * t) * f
-// optically, k the device drift power law, f the imposed drift factor --
-// and sum each column in ascending row order, so noisy outputs are
-// reproducible to the bit.
+// conductance, or programmed transmission x insertion loss), and exactly
+// one read: ElectricalCrossbar::vmm_currents_bits,
+// OpticalCrossbar::wdm_powers and DifferentialCrossbar::read_row_xnor.
+// Reads keep a fixed operand grouping -- (v * (g * k)) * f electrically,
+// (p * t) * f optically, k the device drift power law, f the imposed
+// drift factor -- and sum each column in ascending row order, so noisy
+// outputs are reproducible to the bit.
 //
 // An optical read is one WDM pass, however many channels it carries
 // (in hardware the channels share one linear medium): a single sweep of
@@ -100,17 +102,13 @@ class ElectricalCrossbar {
   // Program a whole column from a bit vector (bit -> ON level).
   void program_column(std::size_t col, const BitVec& bits);
 
-  // Analog VMM: `v_rows` volts on each row; returns the currents of the
-  // `cols` leading columns (every column if unset) in microamps (uS * V),
-  // noised in column order from `rng`, which then skips the draws of the
-  // columns left unread. `t_s` = seconds since programming (drift).
-  [[nodiscard]] std::vector<double> vmm_currents(
-      const std::vector<double>& v_rows, const dev::NoiseModel& noise,
-      RngStream& rng, double t_s = 0.0,
-      std::optional<std::size_t> cols = std::nullopt) const;
-
-  // Binary-input VMM: active rows driven at v_read volts, others at 0.
-  // `active` may be shorter than rows(); missing rows are inactive.
+  // Analog VMM of a binary drive: the rows `active` sets are driven at
+  // v_read volts, the others at 0 (`active` may be shorter than rows();
+  // missing rows are inactive). Returns the currents of the `cols` leading
+  // columns (every column if unset) in microamps (uS * V), each summed over
+  // the driven rows in ascending order, then noised in column order from
+  // `rng`, which then skips the draws of the columns left unread. `t_s` =
+  // seconds since programming (device drift power law).
   [[nodiscard]] std::vector<double> vmm_currents_bits(
       const BitVec& active, double v_read, const dev::NoiseModel& noise,
       RngStream& rng, double t_s = 0.0,
@@ -189,21 +187,6 @@ class OpticalCrossbar {
       double p_in_mw, const dev::NoiseModel& noise,
       std::span<RngStream* const> rngs,
       std::optional<std::size_t> cols = std::nullopt) const;
-
-  // WDM matrix-matrix multiply: a wdm_powers pass over every column whose
-  // channels all draw from `rng`, channel-major. Returns out[k][col] =
-  // received power per channel and column. Channels are physically
-  // independent (linear medium).
-  [[nodiscard]] std::vector<std::vector<double>> mmm_powers(
-      const std::vector<BitVec>& wavelength_inputs, double p_in_mw,
-      const dev::NoiseModel& noise, RngStream& rng) const;
-
-  // Single-wavelength convenience (a VMM): a one-channel wdm_powers pass
-  // over every column.
-  [[nodiscard]] std::vector<double> vmm_powers(const BitVec& input,
-                                               double p_in_mw,
-                                               const dev::NoiseModel& noise,
-                                               RngStream& rng) const;
 
   // Received power from a single amorphous (transparent) cell at p_in.
   // Pristine values -- the receiver's calibration reference.

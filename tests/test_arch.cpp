@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "arch/cost_model.hpp"
 #include "arch/energy.hpp"
@@ -322,6 +324,73 @@ TEST(Machine, MmmRequiresOpticalMachine) {
   Machine machine(small_machine(false));
   machine.load(prog);
   EXPECT_THROW(static_cast<void>(machine.run()), Error);
+}
+
+TEST(Machine, LoadRejectsWeightTileLargerThanOneCrossbar) {
+  // A VCore holds one 64 x 64 crossbar: 2m rows of [w ; ~w], n columns.
+  Rng rng(8);
+  for (const bool optical : {false, true}) {
+    for (const auto& [n, m, fits] :
+         {std::tuple{64u, 32u, true}, std::tuple{64u, 33u, false},
+          std::tuple{65u, 32u, false}}) {
+      Program prog;
+      VcoreImage img;
+      img.weights = BitMatrix::random(n, m, rng);
+      prog.images.push_back(img);
+      Machine machine(small_machine(optical));
+      if (fits) {
+        EXPECT_NO_THROW(machine.load(prog)) << n << " x " << m;
+      } else {
+        EXPECT_THROW(machine.load(prog), Error) << n << " x " << m;
+      }
+    }
+  }
+}
+
+TEST(Machine, MmmRejectsBatchOverWdmCapacity) {
+  // A VCore's execute_batch tiles any batch into WDM passes, so the
+  // machine's check is what holds one Mmm to one pass of at most
+  // tech.wdm_capacity wavelengths.
+  Rng rng(9);
+  Program prog;
+  prog.streams.resize(1);
+  auto& s = prog.streams[0];
+  for (int k = 0; k < 3; ++k) {
+    Instruction loadb = from_assembly("loadb b0, [0], 8");
+    loadb.dst = static_cast<std::uint8_t>(k);
+    loadb.addr = static_cast<std::uint16_t>(k * 8);
+    s.push_back(loadb);
+  }
+  {
+    Instruction mmm = from_assembly("mmm v0, b0, xb0, k=3");
+    mmm.len = 8;
+    s.push_back(mmm);
+  }
+  s.push_back(from_assembly("halt"));
+  VcoreImage img;
+  img.ecore = 0;
+  img.vcore = 0;
+  img.weights = BitMatrix::random(2, 8, rng);
+  prog.images.push_back(img);
+
+  for (const std::size_t capacity : {2u, 3u}) {
+    MachineConfig cfg = small_machine(true);
+    cfg.tech.wdm_capacity = capacity;
+    Machine machine(cfg);
+    machine.load(prog);
+    if (capacity >= 3) {
+      EXPECT_EQ(machine.run().mmm_ops, 1u);
+      continue;
+    }
+    try {
+      static_cast<void>(machine.run());
+      ADD_FAILURE() << "k = 3 ran on a " << capacity << "-wavelength machine";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("MMM exceeds WDM capacity"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Machine, SendRecvAcrossTilesAddsHopLatency) {

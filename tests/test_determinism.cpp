@@ -192,11 +192,11 @@ TEST(ShardedDeterminism, TacitOpticalWdmBitIdenticalAcrossPools) {
 
   Rng serial_rng(777);
   const auto serial =
-      mapped.execute_wdm(task.inputs, kNoise, serial_rng, nullptr);
+      mapped.execute_batch(task.inputs, kNoise, serial_rng, nullptr);
   for (const std::size_t threads : pool_sizes()) {
     ThreadPool pool(threads);
     Rng rng(777);
-    EXPECT_EQ(mapped.execute_wdm(task.inputs, kNoise, rng, &pool), serial)
+    EXPECT_EQ(mapped.execute_batch(task.inputs, kNoise, rng, &pool), serial)
         << "threads=" << threads;
   }
 }
@@ -218,7 +218,7 @@ TEST(ShardedDeterminism, TacitOpticalWdmCoalescingDoesNotChangeResults) {
     serial.push_back(mapped.execute(x, kNoise, loop_rng, nullptr));
   }
   Rng wdm_rng(4242);
-  EXPECT_EQ(mapped.execute_wdm(task.inputs, kNoise, wdm_rng, nullptr),
+  EXPECT_EQ(mapped.execute_batch(task.inputs, kNoise, wdm_rng, nullptr),
             serial);
 }
 
@@ -357,7 +357,8 @@ TEST(ShardedDeterminism, ExactnessSurvivesShardingWithoutNoise) {
   cfg.dims = {128, 128};
   const dev::NoNoise none;
   ThreadPool pool(0);  // default_thread_count()
-  const auto rep = map::validate_tacit_electrical(task, cfg, none, rng, &pool);
+  const auto rep = map::validate_mapped(
+      map::TacitMapElectrical(task.weights, cfg), task, none, rng, &pool);
   EXPECT_TRUE(rep.exact()) << rep.summary();
 }
 
@@ -525,12 +526,15 @@ TEST(GoldenNoisyStreams, RealisticDevicesExactAtFixedSeed) {
   }
   Rng rng(5);
   const auto aged = exb.vmm_currents_bits(active, 0.2, no_noise, rng, t_s);
-  const auto fresh_optical = oxb.vmm_powers(active, 0.37, no_noise, rng);
+  RngStream* const stream = &rng;
+  const auto fresh_optical =
+      oxb.wdm_powers({&active, 1}, 0.37, no_noise, {&stream, 1});
   exb.set_drift(drift, t_s, drift_base);
   oxb.set_drift(drift, t_s, drift_base);
   const auto aged_drifted =
       exb.vmm_currents_bits(active, 0.2, no_noise, rng, t_s);
-  const auto drifted_optical = oxb.vmm_powers(active, 0.37, no_noise, rng);
+  const auto drifted_optical =
+      oxb.wdm_powers({&active, 1}, 0.37, no_noise, {&stream, 1});
   EXPECT_EQ(aged.front(), 7.993096520683812);
   EXPECT_EQ(bits_digest(aged), 0x8db17476f660f626u);
   EXPECT_EQ(aged_drifted.front(), 5.297509580381913);

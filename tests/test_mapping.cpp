@@ -130,7 +130,8 @@ TEST(TacitElectrical, ExactOnSingleCrossbar) {
   const auto task = XnorPopcountTask::random(100, 30, 4, rng);
   TacitElectricalConfig cfg;
   cfg.dims = {512, 512};
-  const auto rep = validate_tacit_electrical(task, cfg, kNoNoise, rng);
+  const auto rep = validate_mapped(TacitMapElectrical(task.weights, cfg),
+                                   task, kNoNoise, rng);
   EXPECT_TRUE(rep.exact()) << rep.summary();
 }
 
@@ -142,7 +143,8 @@ TEST(TacitElectrical, ExactAcrossRowSegmentsAndColTiles) {
   TacitElectricalConfig cfg;
   cfg.dims = {128, 128};
   cfg.adc_bits = 10;
-  const auto rep = validate_tacit_electrical(task, cfg, kNoNoise, rng);
+  const auto rep = validate_mapped(TacitMapElectrical(task.weights, cfg),
+                                   task, kNoNoise, rng);
   EXPECT_TRUE(rep.exact()) << rep.summary();
 }
 
@@ -163,7 +165,8 @@ TEST(TacitElectrical, InsufficientAdcResolutionBreaksExactness) {
   const auto task = XnorPopcountTask::random(200, 16, 2, rng);
   TacitElectricalConfig cfg;
   cfg.adc_bits = 4;
-  const auto rep = validate_tacit_electrical(task, cfg, kNoNoise, rng);
+  const auto rep = validate_mapped(TacitMapElectrical(task.weights, cfg),
+                                   task, kNoNoise, rng);
   EXPECT_FALSE(rep.exact());
   EXPECT_GT(rep.max_abs_error, 0);
 }
@@ -174,7 +177,8 @@ TEST(TacitOptical, ExactSingleWavelength) {
   Rng rng(6);
   const auto task = XnorPopcountTask::random(120, 20, 3, rng);
   TacitOpticalConfig cfg;
-  const auto rep = validate_tacit_optical(task, cfg, kNoNoise, rng);
+  const auto rep =
+      validate_mapped(TacitMapOptical(task.weights, cfg), task, kNoNoise, rng);
   EXPECT_TRUE(rep.exact()) << rep.summary();
 }
 
@@ -184,22 +188,11 @@ TEST(TacitOptical, WdmBatchMatchesSequentialExecution) {
   TacitOpticalConfig cfg;
   cfg.wdm_capacity = 16;
   const TacitMapOptical mapped(task.weights, cfg);
-  const auto batched = mapped.execute_wdm(task.inputs, kNoNoise, rng);
+  const auto batched = mapped.execute_batch(task.inputs, kNoNoise, rng);
   for (std::size_t i = 0; i < task.inputs.size(); ++i) {
     EXPECT_EQ(batched[i], mapped.execute(task.inputs[i], kNoNoise, rng))
         << "input " << i;
   }
-}
-
-TEST(TacitOptical, RejectsBatchOverCapacity) {
-  Rng rng(8);
-  const auto task = XnorPopcountTask::random(32, 4, 5, rng);
-  TacitOpticalConfig cfg;
-  cfg.wdm_capacity = 4;
-  const TacitMapOptical mapped(task.weights, cfg);
-  EXPECT_THROW(
-      static_cast<void>(mapped.execute_wdm(task.inputs, kNoNoise, rng)),
-      Error);
 }
 
 TEST(TacitOptical, ExactAcrossSegmentsWithWdm) {
@@ -209,22 +202,19 @@ TEST(TacitOptical, ExactAcrossSegmentsWithWdm) {
   TacitOpticalConfig cfg;
   cfg.dims = {128, 128};
   cfg.wdm_capacity = 8;
-  const auto rep = validate_tacit_optical(task, cfg, kNoNoise, rng);
+  const auto rep =
+      validate_mapped(TacitMapOptical(task.weights, cfg), task, kNoNoise, rng);
   EXPECT_TRUE(rep.exact()) << rep.summary();
 }
 
 // ------------------------------------------------- functional: baseline --
 
-TEST(CustBinary, InterleaveLayout) {
-  const BitVec w = BitVec::from_bits({1, 0});
-  EXPECT_EQ(cust_interleave(w).to_string(), "1001");  // w1 ~w1 w2 ~w2
-}
-
 TEST(CustBinary, ExactOnSingleCrossbar) {
   Rng rng(10);
   const auto task = XnorPopcountTask::random(100, 30, 4, rng);
   CustBinaryConfig cfg;
-  const auto rep = validate_cust_binary(task, cfg, kNoNoise, rng);
+  const auto rep =
+      validate_mapped(CustBinaryMap(task.weights, cfg), task, kNoNoise, rng);
   EXPECT_TRUE(rep.exact()) << rep.summary();
 }
 
@@ -236,7 +226,8 @@ TEST(CustBinary, ExactAcrossGroupsAndWidthTiles) {
   CustBinaryConfig cfg;
   cfg.rows = 32;
   cfg.pairs = 32;
-  const auto rep = validate_cust_binary(task, cfg, kNoNoise, rng);
+  const auto rep =
+      validate_mapped(CustBinaryMap(task.weights, cfg), task, kNoNoise, rng);
   EXPECT_TRUE(rep.exact()) << rep.summary();
 }
 
@@ -264,17 +255,23 @@ TEST_P(MappingEquivalence, AllThreeExecutorsAgreeWithGold) {
 
   TacitElectricalConfig te;
   te.dims = {64, 64};
-  EXPECT_TRUE(validate_tacit_electrical(task, te, kNoNoise, rng).exact());
+  EXPECT_TRUE(validate_mapped(TacitMapElectrical(task.weights, te), task,
+                              kNoNoise, rng)
+                  .exact());
 
   TacitOpticalConfig to;
   to.dims = {64, 64};
   to.wdm_capacity = 4;
-  EXPECT_TRUE(validate_tacit_optical(task, to, kNoNoise, rng).exact());
+  EXPECT_TRUE(
+      validate_mapped(TacitMapOptical(task.weights, to), task, kNoNoise, rng)
+          .exact());
 
   CustBinaryConfig cb;
   cb.rows = 64;
   cb.pairs = 32;
-  EXPECT_TRUE(validate_cust_binary(task, cb, kNoNoise, rng).exact());
+  EXPECT_TRUE(
+      validate_mapped(CustBinaryMap(task.weights, cb), task, kNoNoise, rng)
+          .exact());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -298,7 +295,8 @@ TEST(NoiseDegradation, MismatchRateGrowsWithNoise) {
   for (const double sigma : {0.0, 0.02, 0.10}) {
     const dev::GaussianReadNoise noise(sigma);
     Rng trial_rng(99);
-    const auto rep = validate_tacit_electrical(task, cfg, noise, trial_rng);
+    const auto rep = validate_mapped(TacitMapElectrical(task.weights, cfg),
+                                     task, noise, trial_rng);
     EXPECT_GE(rep.mismatch_rate(), prev_rate)
         << "noise sigma " << sigma << ": " << rep.summary();
     prev_rate = rep.mismatch_rate();
@@ -371,6 +369,21 @@ double modeled_conversions(bool optical, std::size_t m, std::size_t n,
       .energy_pj;
 }
 
+// The PCSA senses arch::CostModel charges `windows` inputs of an m x n
+// binary layer on CustBinaryMap's 512-row x 256-pair crossbars, m per row
+// activation: the layer's energy when one sense costs 1 pJ and every
+// other event nothing.
+double modeled_senses(std::size_t m, std::size_t n, std::size_t windows) {
+  arch::TechParams p;
+  p.e_pcsa_sense_fj = 1000.0;
+  p.e_cell_read_fj = 0.0;
+  p.e_counter_fj = 0.0;
+  p.e_wordline_fj = 0.0;
+  p.e_adder_pj = 0.0;
+  const arch::CostModel model(p);
+  return model.baseline_epcm({"fc2", m, n, windows}).energy_pj;
+}
+
 // The repository benchmark's wdm-mapped shape: MLP-S fc2 (m 500, n 250),
 // two row segments of one 250-column tile each.
 constexpr std::size_t kFc2M = 500;
@@ -403,6 +416,8 @@ TEST(ExecutedConversions, EqualWhatCostModelCharges) {
   electrical_cfg.dims = {512, 512};
   const TacitMapOptical optical(task.weights, optical_cfg);
   const TacitMapElectrical electrical(task.weights, electrical_cfg);
+  // 512 rows x 256 pairs: one row group of 250 rows over two width tiles.
+  const CustBinaryMap cust(task.weights, CustBinaryConfig{});
   // Below, at and past one WDM pass of 16; at 17 the model charges
   // 17 x 2 x 250 = 8,500 conversions.
   for (const std::size_t batch : {1u, 15u, 16u, 17u}) {
@@ -414,6 +429,11 @@ TEST(ExecutedConversions, EqualWhatCostModelCharges) {
     EXPECT_EQ(
         static_cast<double>(noise_applications(electrical, task, batch)),
         modeled_conversions(false, kFc2M, kFc2N, batch))
+        << "batch " << batch;
+    // Cust noises each PCSA sense once: batch x n rows x m pairs, 125,000
+    // per input.
+    EXPECT_EQ(static_cast<double>(noise_applications(cust, task, batch)),
+              modeled_senses(kFc2M, kFc2N, batch))
         << "batch " << batch;
   }
 }

@@ -98,17 +98,6 @@ TEST(Receiver, DecodesExactPopcountsNoiselessly) {
   }
 }
 
-TEST(Receiver, DecodeFrameMatchesScalarDecode) {
-  Receiver rx(ReceiverParams::defaults(), 8, 1.0, 0.0);
-  Rng rng(4);
-  const std::vector<std::vector<double>> powers = {{0.0, 3.0, 8.0},
-                                                   {5.0, 1.0, 2.0}};
-  const auto decoded = rx.decode_frame(powers, kNoNoise, rng);
-  ASSERT_EQ(decoded.size(), 2u);
-  EXPECT_EQ(decoded[0], (std::vector<std::size_t>{0, 3, 8}));
-  EXPECT_EQ(decoded[1], (std::vector<std::size_t>{5, 1, 2}));
-}
-
 TEST(Receiver, RejectsInvertedContrast) {
   EXPECT_THROW(Receiver(ReceiverParams::defaults(), 8, 0.1, 1.0), Error);
 }

@@ -299,16 +299,11 @@ TEST_P(WdmCapacitySweep, AnyCapacityProducesGoldResults) {
   const map::TacitMapOptical mapped(task.weights, cfg);
   const auto gold = task.reference();
   const dev::NoNoise no_noise;
-  std::size_t i = 0;
-  while (i < task.inputs.size()) {
-    const std::size_t batch = std::min(k, task.inputs.size() - i);
-    const std::vector<BitVec> inputs(task.inputs.begin() + i,
-                                     task.inputs.begin() + i + batch);
-    const auto got = mapped.execute_wdm(inputs, no_noise, rng);
-    for (std::size_t j = 0; j < batch; ++j) {
-      EXPECT_EQ(got[j], gold[i + j]) << "k=" << k << " input " << i + j;
-    }
-    i += batch;
+  // 2k + 1 inputs: two full WDM passes and a one-channel pass.
+  const auto got = mapped.execute_batch(task.inputs, no_noise, rng);
+  ASSERT_EQ(got.size(), task.inputs.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], gold[i]) << "k=" << k << " input " << i;
   }
 }
 

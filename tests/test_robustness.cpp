@@ -50,15 +50,16 @@ TEST(Robustness, BaselineMappingDegradesUnderSenseNoise) {
   // Runs through the sharded path (default-width pool, EB_THREADS aware):
   // the noisy verdict must not depend on the thread count.
   const dev::GaussianReadNoise heavy(0.5);
+  const map::CustBinaryMap mapped(task.weights, cfg);
   ThreadPool pool(0);
   Rng vrng(3);
-  const auto rep = map::validate_cust_binary(task, cfg, heavy, vrng, &pool);
+  const auto rep = map::validate_mapped(mapped, task, heavy, vrng, &pool);
   EXPECT_FALSE(rep.exact());
   EXPECT_NE(rep.summary().find("mismatched"), std::string::npos);
 
   // Bit-identical replay: same seed, serial path.
   Rng vrng2(3);
-  const auto rep2 = map::validate_cust_binary(task, cfg, heavy, vrng2);
+  const auto rep2 = map::validate_mapped(mapped, task, heavy, vrng2);
   EXPECT_EQ(rep2.mismatches, rep.mismatches);
   EXPECT_EQ(rep2.max_abs_error, rep.max_abs_error);
 }

@@ -153,13 +153,17 @@ TEST(OpticalCrossbar, WavelengthChannelsAreIndependent) {
   }
   const BitVec in_a = BitVec::random(16, rng);
   const BitVec in_b = BitVec::random(16, rng);
-  // MMM with both channels == two separate VMMs.
-  const auto mmm = xb.mmm_powers({in_a, in_b}, 1.0, kNoNoise, rng);
-  const auto vmm_a = xb.vmm_powers(in_a, 1.0, kNoNoise, rng);
-  const auto vmm_b = xb.vmm_powers(in_b, 1.0, kNoNoise, rng);
+  // MMM with both channels (one pass) == two separate VMMs (one-channel
+  // passes).
+  const std::vector<BitVec> inputs = {in_a, in_b};
+  RngStream* const both[] = {&rng, &rng};
+  RngStream* const one[] = {&rng};
+  const auto mmm = xb.wdm_powers(inputs, 1.0, kNoNoise, both);
+  const auto vmm_a = xb.wdm_powers({&in_a, 1}, 1.0, kNoNoise, one);
+  const auto vmm_b = xb.wdm_powers({&in_b, 1}, 1.0, kNoNoise, one);
   for (std::size_t c = 0; c < 4; ++c) {
-    EXPECT_DOUBLE_EQ(mmm[0][c], vmm_a[c]);
-    EXPECT_DOUBLE_EQ(mmm[1][c], vmm_b[c]);
+    EXPECT_DOUBLE_EQ(mmm[c], vmm_a[c]);
+    EXPECT_DOUBLE_EQ(mmm[4 + c], vmm_b[c]);
   }
 }
 
@@ -176,7 +180,8 @@ TEST(OpticalCrossbar, PowerSumMatchesTransmissions) {
   for (std::size_t r = 0; r < 8; ++r) {
     all.set(r, true);
   }
-  const auto p = xb.vmm_powers(all, 2.0, kNoNoise, rng);
+  RngStream* const one[] = {&rng};
+  const auto p = xb.wdm_powers({&all, 1}, 2.0, kNoNoise, one);
   EXPECT_NEAR(p[0], 4.0 * xb.on_power(2.0) + 4.0 * xb.off_power(2.0), 1e-12);
 }
 
@@ -396,14 +401,19 @@ TEST(OpticalWdmPass, MmmAndVmmDrawChannelMajorFromOneStream) {
   const auto drives = wdm_drives(6, 150, rng);  // channel 4 is empty
   RngStream stream(7);
   RngStream ref_stream(7);
-  const auto mmm = m.xb.mmm_powers(drives, 0.5, noise, stream);
-  ASSERT_EQ(mmm.size(), drives.size());
+  // Every channel of a six-channel pass (an MMM) draws from one stream,
+  // then a one-channel pass (a VMM) continues it.
+  const std::vector<RngStream*> shared(drives.size(), &stream);
+  const auto mmm = m.xb.wdm_powers(drives, 0.5, noise, shared);
+  const std::size_t n_cols = m.xb.dims().cols;
+  ASSERT_EQ(mmm.size(), drives.size() * n_cols);
   for (std::size_t k = 0; k < drives.size(); ++k) {
     const auto want = reference_channel(m, drives[k], 0.5, noise, ref_stream);
-    EXPECT_TRUE(same_bits(mmm[k].data(), want.data(), want.size()))
+    EXPECT_TRUE(same_bits(mmm.data() + k * n_cols, want.data(), n_cols))
         << "channel " << k;
   }
-  const auto vmm = m.xb.vmm_powers(drives[0], 0.5, noise, stream);
+  RngStream* const one[] = {&stream};
+  const auto vmm = m.xb.wdm_powers({&drives[0], 1}, 0.5, noise, one);
   const auto want = reference_channel(m, drives[0], 0.5, noise, ref_stream);
   EXPECT_TRUE(same_bits(vmm.data(), want.data(), want.size()));
   EXPECT_EQ(stream.bits64(), ref_stream.bits64());
